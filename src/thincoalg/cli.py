@@ -17,7 +17,8 @@ Commands:
     bench       time the thinness check on seeded random instances
 
 Exit codes: 0 success or positive verdict, 1 negative verdict (non-thin,
-not equal, expectation missed), 2 malformed input or usage error.
+not equal, expectation missed), 2 malformed input, usage error, or input
+too deep or too large to process.
 
 Set THINCOALG_ARITY_CAP to raise or lower the arity cap (default 8).
 """
@@ -427,7 +428,8 @@ def main(argv=None) -> int:
             print(json.dumps(dump_witness(exc.verdict.witness), sort_keys=True),
                   file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, RecursionError, MemoryError) as exc:
+        # Exit code 1 means a negative verdict, so resource failures are 2.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,16 +11,24 @@ The group acts on a tuple by moving the entry at position ``k`` to position
 ``sigma[k]``.  Contexts carry the restricted action: the hole moves with the
 permutation and the remaining entries follow.
 
-Canonical representatives are lexicographic minima over the fully enumerated
-group.  This is exponential in the arity, which is why arities are capped
-(default 8, see ``DEFAULT_ARITY_CAP``); argument values must be totally
-ordered, either natively (ints, strings) or through a ``sort_key`` attribute.
+Canonical representatives are lexicographic minima over the group, found in
+one of two ways chosen from the group itself.  When the group is the full
+symmetric group on each orbit of positions (rigid positions, bags, and
+products of those), the minimum is found by sorting the values inside each
+orbit; a context's hole goes to the first position of its orbit.  Any other
+group (a rotation of three or more positions, a dihedral group, ...) falls
+back to taking the minimum over every group element.  Groups are still
+enumerated when the signature is built, which is exponential in the arity,
+so arities stay capped (default 8, see ``DEFAULT_ARITY_CAP``).  Argument
+values must be totally ordered, either natively (ints, strings) or through
+a ``sort_key`` attribute.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import factorial, prod
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import SignatureError
@@ -113,6 +121,47 @@ def enumerate_group(generators: Iterable[Sequence[int]], arity: int) -> PermGrou
     return PermGroup(arity, tuple(sorted(seen)))
 
 
+def position_orbits(generators: Iterable[Perm], arity: int) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the group generated by ``generators`` on ``range(arity)``.
+
+    Union-find over the generator edges ``k -- g[k]``; each orbit is sorted
+    and the orbits are ordered by their first position.
+    """
+    parent = list(range(arity))
+
+    def find(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    for g in generators:
+        for k, v in enumerate(g):
+            a, b = find(k), find(v)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    orbits: dict[int, list[int]] = {}
+    for k in range(arity):
+        orbits.setdefault(find(k), []).append(k)
+    return tuple(tuple(o) for o in orbits.values())
+
+
+def sortable_orbits(
+    generators: Iterable[Perm], group: PermGroup
+) -> tuple[tuple[int, ...], ...] | None:
+    """The non-singleton orbits when ``group`` is symmetric on each orbit.
+
+    The group lies inside the product of the symmetric groups on its orbits,
+    so it is that product exactly when its order is the product of the orbit
+    factorials.  Returns ``None`` for any other group.  A trivial group has
+    only singleton orbits and gets the empty tuple.
+    """
+    orbits = position_orbits(generators, group.arity)
+    if len(group) != prod(factorial(len(o)) for o in orbits):
+        return None
+    return tuple(o for o in orbits if len(o) > 1)
+
+
 @dataclass(frozen=True)
 class OperationSymbol:
     """One operation: a name, an arity and the symmetry generators."""
@@ -176,7 +225,13 @@ def _hole_key(full: Sequence) -> tuple:
 
 
 class SignatureSpec:
-    """A validated signature with pre-enumerated groups.
+    """A validated signature; each group is enumerated and classified once.
+
+    At build time every operation's group is enumerated and its position
+    orbits are taken from the generators.  Canonical tuples and contexts of
+    operations whose group is symmetric on each orbit are found by sorting
+    inside the orbits; other groups fall back to the minimum over their
+    enumerated elements.  Both give the same lexicographic minimum.
 
     Raises ``SignatureError`` on duplicate ids, bad permutations, or arities
     above ``arity_cap``.  Two specs are equal when they have the same ops with
@@ -189,6 +244,8 @@ class SignatureSpec:
         self.arity_cap = arity_cap
         self._by_id: dict[str, OperationSymbol] = {}
         self._groups: dict[str, PermGroup] = {}
+        # Non-singleton orbits to sort within, or None to enumerate the group.
+        self._orbits: dict[str, tuple[tuple[int, ...], ...] | None] = {}
         if not self.ops:
             raise SignatureError("signature needs at least one operation")
         for op in self.ops:
@@ -201,7 +258,9 @@ class SignatureSpec:
                     f"arity {op.arity} of {op.id!r} exceeds cap {arity_cap}"
                 )
             self._by_id[op.id] = op
-            self._groups[op.id] = enumerate_group(op.generators, op.arity)
+            group = enumerate_group(op.generators, op.arity)
+            self._groups[op.id] = group
+            self._orbits[op.id] = sortable_orbits(op.generators, group)
 
     def __repr__(self) -> str:
         names = ", ".join(f"{o.id}/{o.arity}" for o in self.ops)
@@ -246,11 +305,16 @@ class SignatureSpec:
             raise SignatureError(
                 f"{op_id!r} expects {op.arity} arguments, got {len(vals)}"
             )
-        group = self._groups[op_id]
-        if group.is_trivial:
-            return FElem(op_id, vals)
-        best = min(apply_perm(s, vals) for s in group)
-        return FElem(op_id, best)
+        orbits = self._orbits[op_id]
+        if orbits:
+            out = list(vals)
+            for orb in orbits:
+                for k, v in zip(orb, sorted([vals[k] for k in orb])):
+                    out[k] = v
+            vals = tuple(out)
+        elif orbits is None:
+            vals = min(apply_perm(s, vals) for s in self._groups[op_id])
+        return FElem(op_id, vals)
 
     def canonical_context(self, op_id: str, hole: int, sides: Sequence) -> ContextElem:
         """The orbit-minimal context with the hole at ``hole``.
@@ -270,9 +334,19 @@ class SignatureSpec:
                 f"context over {op_id!r} expects {op.arity - 1} sides, got {len(s)}"
             )
         full = s[:hole] + (None,) + s[hole:]
-        group = self._groups[op_id]
-        if not group.is_trivial:
-            full = min((apply_perm(g, full) for g in group), key=_hole_key)
+        orbits = self._orbits[op_id]
+        if orbits:
+            out = list(full)
+            for orb in orbits:
+                # Sorted like _hole_key: the hole first, then by value_key.
+                vals = sorted((full[k] for k in orb if k != hole), key=value_key)
+                if len(vals) < len(orb):
+                    vals.insert(0, None)
+                for k, v in zip(orb, vals):
+                    out[k] = v
+            full = tuple(out)
+        elif orbits is None:
+            full = min((apply_perm(g, full) for g in self._groups[op_id]), key=_hole_key)
         h = full.index(None)
         return ContextElem(op_id, h, full[:h] + full[h + 1 :])
 

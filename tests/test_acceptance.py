@@ -11,6 +11,8 @@ import random
 import statistics
 import time
 
+import pytest
+
 from conftest import all_coalgebras
 
 from thincoalg import (
@@ -267,6 +269,7 @@ def test_criterion_9_encoding_matches_tree_domain(sig_poly):
     _report(9, "encoding matches tree domain", ok)
 
 
+@pytest.mark.slow
 def test_criterion_10_near_linear_thinness_check():
     # mean out-degree 3: arities 1..5 drawn uniformly
     sig = SignatureSpec([OperationSymbol(f"k{a}", a) for a in range(1, 6)])

@@ -208,6 +208,23 @@ def test_rank_output(files):
         assert proc.stdout.strip() == want
 
 
+def test_rank_on_deeply_nested_term_exits_2(files, tmp_path):
+    # u(u(...c)) nested 2000 deep is valid but overflows the JSON reader's
+    # recursion; that must not be reported as exit code 1 ("not thin").
+    depth = 2000
+    deep = tmp_path / "deep.term.json"
+    deep.write_text(
+        '{"f":{"op":"u","children":[' * depth
+        + '{"f":{"op":"c","children":[]}}'
+        + "]}}" * depth,
+        encoding="utf-8",
+    )
+    proc = run("rank", str(deep), "--sig", str(files["poly_sig"]))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_eq_exit_codes(files):
     sig = str(files["poly_sig"])
     proc = run("eq", str(files["uomega"]), str(files["ustep"]), "--sig", sig)

@@ -1,6 +1,7 @@
 """Signatures: permutation groups, canonical tuples and contexts, plug/base."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -15,12 +16,16 @@ from thincoalg import (
     SignatureSpec,
     enumerate_group,
 )
+from thincoalg.generate import rand_term
 from thincoalg.signature import (
+    _hole_key,
     apply_perm,
     check_perm,
     compose_perms,
     identity_perm,
     invert_perm,
+    position_orbits,
+    sortable_orbits,
 )
 
 
@@ -184,6 +189,102 @@ def test_canonical_tuple_orbit_invariance(sig_server):
             assert sig_server.canonical_tuple("spawn", apply_perm(s, vals)) == canon
         # the canonical tuple is the least element of the orbit
         assert canon.args == min(apply_perm(s, vals) for s in group)
+
+
+# -- orbit sorting against group enumeration ------------------------------
+
+
+def reference_tuple(group, vals):
+    return min(apply_perm(s, vals) for s in group)
+
+
+def reference_context(group, hole, sides):
+    full = sides[:hole] + (None,) + sides[hole:]
+    best = min((apply_perm(s, full) for s in group), key=_hole_key)
+    h = best.index(None)
+    return h, best[:h] + best[h + 1 :]
+
+
+def assert_matches_enumeration(sig, op_id, vals):
+    """Canonical tuple and every context of ``vals`` equal the group minima."""
+    group = sig.group(op_id)
+    assert sig.canonical_tuple(op_id, vals).args == reference_tuple(group, vals)
+    for hole in range(len(vals)):
+        sides = vals[:hole] + vals[hole + 1 :]
+        ctx = sig.canonical_context(op_id, hole, sides)
+        assert (ctx.hole, ctx.sides) == reference_context(group, hole, sides)
+
+
+def element_orbits(group):
+    """Orbits read off the enumerated elements, sorted by first position."""
+    return tuple(sorted({tuple(sorted({s[k] for s in group})) for k in range(group.arity)}))
+
+
+def test_orbits_and_path_choice_on_known_groups():
+    s3s3 = [(1, 0, 2, 3, 4, 5), (1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 3, 5), (0, 1, 2, 4, 5, 3)]
+    d6 = [(1, 2, 3, 4, 5, 0), (5, 4, 3, 2, 1, 0)]
+    assert position_orbits(s3s3, 6) == ((0, 1, 2), (3, 4, 5))
+    assert sortable_orbits(s3s3, enumerate_group(s3s3, 6)) == ((0, 1, 2), (3, 4, 5))
+    assert position_orbits(d6, 6) == ((0, 1, 2, 3, 4, 5),)
+    assert sortable_orbits(d6, enumerate_group(d6, 6)) is None
+    assert sortable_orbits([(0, 2, 1)], enumerate_group([(0, 2, 1)], 3)) == ((1, 2),)
+    assert sortable_orbits([], enumerate_group([], 3)) == ()
+    assert sortable_orbits([], enumerate_group([], 0)) == ()
+
+
+def test_canonical_forms_match_enumeration_on_random_groups():
+    rng = random.Random(6)
+    sorted_groups = fallback_groups = 0
+    for _ in range(400):
+        arity = rng.randrange(7)
+        gens = [tuple(rng.sample(range(arity), arity)) for _ in range(rng.randrange(3))]
+        if arity >= 2 and rng.random() < 0.5:
+            i, j = rng.sample(range(arity), 2)
+            swap = list(range(arity))
+            swap[i], swap[j] = j, i
+            gens.append(tuple(swap))
+        sig = SignatureSpec([OperationSymbol("o", arity, tuple(gens))])
+        group = sig.group("o")
+        orbits = element_orbits(group)
+        assert position_orbits(gens, arity) == orbits
+        symmetric = len(group) == math.prod(math.factorial(len(o)) for o in orbits)
+        assert (sortable_orbits(gens, group) is not None) == symmetric
+        if symmetric:
+            sorted_groups += 1
+        else:
+            fallback_groups += 1
+        for _ in range(5):
+            vals = tuple(rng.randrange(3) for _ in range(arity))
+            assert_matches_enumeration(sig, "o", vals)
+    # both the orbit sort and the enumeration fallback were exercised
+    assert sorted_groups > 0 and fallback_groups > 0
+
+
+@pytest.mark.parametrize("name", ["sig_bag", "sig_server", "sig_mixed"])
+def test_canonical_forms_of_terms_match_enumeration(name, request):
+    sig = request.getfixturevalue(name)
+    rng = random.Random(7)
+    pool = []
+    while len(pool) < 3:
+        t = rand_term(sig, rng.randrange(1, 8), rng)
+        if t not in pool:
+            pool.append(t)
+    for op in sig.ops:
+        for vals in itertools.product(pool, repeat=op.arity):
+            assert_matches_enumeration(sig, op.id, vals)
+
+
+def test_s8_canonical_forms_match_enumeration():
+    sig = SignatureSpec(
+        [OperationSymbol("s8", 8, ((1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 0)))]
+    )
+    group = sig.group("s8")
+    assert len(group) == 40320
+    vals = (5, 3, 7, 1, 0, 2, 2, 9)
+    assert sig.canonical_tuple("s8", vals).args == reference_tuple(group, vals)
+    sides = vals[:3] + vals[4:]
+    ctx = sig.canonical_context("s8", 3, sides)
+    assert (ctx.hole, ctx.sides) == reference_context(group, 3, sides)
 
 
 # -- canonical contexts ---------------------------------------------------
