@@ -5,9 +5,11 @@ arguments are successor states.  Paths interleave states with multiplicity
 indices, so a successor occurring twice in a tuple contributes two edges.
 
 Includes strongly connected components (iterative path-based search, linear
-time), behavioural minimization by partition refinement, behavioural equality
-on the disjoint union, and an isomorphism-invariant canonical key used to
-fingerprint behaviours.
+time), behavioural minimization by worklist partition refinement (only the
+predecessors of states that changed block are re-signed, O(m log n)
+signings), behavioural equality on the disjoint union, and an
+isomorphism-invariant canonical key used to fingerprint behaviours.
+Refinement block ids are arbitrary; callers use only the partition.
 """
 
 from __future__ import annotations
@@ -326,24 +328,73 @@ def reachable_condensation(pc: PointedCoalgebra) -> Condensation:
 def _refine(c: Coalgebra, states: list[int]) -> dict[int, int]:
     """Partition ``states`` by behavioural equivalence.
 
-    Starts from a single block and splits by the canonical branching value
-    over block ids until stable.  Block ids are assigned by sorted signature,
-    so the result is deterministic and isomorphism-invariant.
+    ``states`` must be closed under successors.  Worklist refinement in the
+    manner of Hopcroft and of Valmari & Lehtinen: starting from one block
+    with every state dirty, each round re-signs only the dirty states (their
+    canonical branching value over block ids), groups them by (block, key),
+    and splits each touched block into one part per key plus the untouched
+    rest, if any.  The largest part keeps the block id, every other part
+    gets a fresh one, and the predecessors of the states that got a fresh id
+    are the next round's dirty states.
+
+    Invariant: the untouched members of a block share one key, since none of
+    their successors changed id since they were last signed together.  A
+    dirty state has a successor under a fresh id, which no untouched key
+    mentions, so the rest never needs re-signing to be told apart.  Every
+    round therefore splits exactly as re-signing all states would.  A state
+    only moves into a part at most half its block's size, so each state is
+    re-signed O(log n) times per successor edge, O(m log n) signings in all.
+
+    Block ids are arbitrary; only the partition they induce is meaningful.
     """
     sig = c.sig
-    block = {s: 0 for s in states}
-    nblocks = 1
-    while True:
-        keys = {}
-        for s in states:
-            elem = sig.map_elem(c.transition[s], lambda t: block[t])
-            keys[s] = (block[s], elem.op, elem.args)
-        distinct = sorted(set(keys.values()))
-        ids = {key: i for i, key in enumerate(distinct)}
-        block = {s: ids[keys[s]] for s in states}
-        if len(distinct) == nblocks:
-            return block
-        nblocks = len(distinct)
+    tr = c.transition
+    block = [0] * c.n_states
+    lookup = block.__getitem__
+    preds: dict[int, list[int]] = {s: [] for s in states}
+    for s in states:
+        for t in set(tr[s].args):
+            preds[t].append(s)
+    members = [set(states)]
+    mark = bytearray(c.n_states)
+    dirty = list(states)
+    while dirty:
+        touched: dict[int, dict] = {}
+        for s in dirty:
+            elem = sig.map_elem(tr[s], lookup)
+            touched.setdefault(block[s], {}).setdefault((elem.op, elem.args), set()).add(s)
+        moved: list[int] = []
+        for b, by_key in touched.items():
+            parts = list(by_key.values())
+            rest = members[b]
+            rest_size = len(rest) - sum(map(len, parts))
+            if rest_size == 0 and len(parts) == 1:
+                continue
+            for p in parts:
+                rest.difference_update(p)
+            largest = max(parts, key=len)
+            if rest_size >= len(largest):
+                moving = parts
+            else:
+                members[b] = largest
+                moving = [p for p in parts if p is not largest]
+                if rest:
+                    moving.append(rest)
+            for p in moving:
+                nb = len(members)
+                members.append(p)
+                for s in p:
+                    block[s] = nb
+                moved.extend(p)
+        dirty = []
+        for t in moved:
+            for s in preds[t]:
+                if not mark[s]:
+                    mark[s] = 1
+                    dirty.append(s)
+        for s in dirty:
+            mark[s] = 0
+    return {s: block[s] for s in states}
 
 
 def minimize(pc: PointedCoalgebra) -> tuple[PointedCoalgebra, dict[int, int]]:

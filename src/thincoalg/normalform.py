@@ -10,9 +10,11 @@ kind attains it.  Components are processed in reverse topological order:
   out-of-component successors of the loop.
 * A lone state compares the branching candidate (largest successor major,
   one more than the largest successor minor) with the stream candidate
-  ``(1 + g, 0)``, where ``g`` is found by an ascending threshold search: the
-  least ``k`` such that some decomposition keeps every side at major at most
-  ``k`` and continues into a spine of value at most ``k``.
+  ``(1 + g, 0)``, where ``g`` is the least ``k`` such that some
+  decomposition keeps every side at major at most ``k`` and continues into a
+  spine of value at most ``k``: the least, over the decompositions that
+  continue into a spine, of the largest of the spine value and the side
+  majors.  The decompositions attaining it form the state's spine choices.
 
 ``extract_normal`` then reads a term off the table, minimizing first.  All
 tie-breaking compares extracted terms, never state numbers, so behaviourally
@@ -132,30 +134,19 @@ def state_ranks(pc: PointedCoalgebra) -> StateRankTable:
             entries[s] = StateRank(f_rank, "f")
             continue
 
-        ceiling = 0
-        for ctx, x in through:
-            ceiling = max(ceiling, entries[x].g_value)
-            for y in ctx.sides:
-                ceiling = max(ceiling, entries[y].rank.major)
-        g_val = None
-        best: tuple[tuple[ContextElem, int], ...] = ()
-        for k in range(ceiling + 1):
-            hits = tuple(
-                (ctx, x)
-                for ctx, x in through
-                if entries[x].g_value <= k
-                and all(entries[y].rank.major <= k for y in ctx.sides)
-            )
-            if hits:
-                g_val, best = k, hits
-                break
-        if g_val is None:
-            raise AssertionError("threshold search failed below its ceiling")
+        # A decomposition fits under k exactly when k is at least its spine
+        # value and every side's major, so the least k is the least such max.
+        values = [
+            max([entries[x].g_value, *(entries[y].rank.major for y in ctx.sides)])
+            for ctx, x in through
+        ]
+        g_val = min(values)
+        best = tuple(p for p, v in zip(through, values) if v == g_val)
         g_rank = Rank(g_val + 1, 0)
         if g_rank < f_rank:
-            entries[s] = StateRank(g_rank, "g", g_val, tuple(best))
+            entries[s] = StateRank(g_rank, "g", g_val, best)
         else:
-            entries[s] = StateRank(f_rank, "f", g_val, tuple(best))
+            entries[s] = StateRank(f_rank, "f", g_val, best)
     return StateRankTable(pc.root, entries)
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import factorial, prod
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import SignatureError
@@ -231,7 +232,8 @@ class SignatureSpec:
     orbits are taken from the generators.  Canonical tuples and contexts of
     operations whose group is symmetric on each orbit are found by sorting
     inside the orbits; other groups fall back to the minimum over their
-    enumerated elements.  Both give the same lexicographic minimum.
+    enumerated elements, each applied as one precomputed ``itemgetter``.
+    Both give the same lexicographic minimum.
 
     Raises ``SignatureError`` on duplicate ids, bad permutations, or arities
     above ``arity_cap``.  Two specs are equal when they have the same ops with
@@ -246,6 +248,8 @@ class SignatureSpec:
         self._groups: dict[str, PermGroup] = {}
         # Non-singleton orbits to sort within, or None to enumerate the group.
         self._orbits: dict[str, tuple[tuple[int, ...], ...] | None] = {}
+        # For enumerated groups: one getter per element, acting as apply_perm.
+        self._actions: dict[str, tuple[itemgetter, ...]] = {}
         if not self.ops:
             raise SignatureError("signature needs at least one operation")
         for op in self.ops:
@@ -261,6 +265,12 @@ class SignatureSpec:
             group = enumerate_group(op.generators, op.arity)
             self._groups[op.id] = group
             self._orbits[op.id] = sortable_orbits(op.generators, group)
+            if self._orbits[op.id] is None:
+                # Such a group is no product of symmetric groups, so its
+                # arity is at least 3 and every getter returns a tuple.
+                self._actions[op.id] = tuple(
+                    itemgetter(*invert_perm(g)) for g in group
+                )
 
     def __repr__(self) -> str:
         names = ", ".join(f"{o.id}/{o.arity}" for o in self.ops)
@@ -313,7 +323,7 @@ class SignatureSpec:
                     out[k] = v
             vals = tuple(out)
         elif orbits is None:
-            vals = min(apply_perm(s, vals) for s in self._groups[op_id])
+            vals = min([act(vals) for act in self._actions[op_id]])
         return FElem(op_id, vals)
 
     def canonical_context(self, op_id: str, hole: int, sides: Sequence) -> ContextElem:
@@ -346,7 +356,7 @@ class SignatureSpec:
                     out[k] = v
             full = tuple(out)
         elif orbits is None:
-            full = min((apply_perm(g, full) for g in self._groups[op_id]), key=_hole_key)
+            full = min([act(full) for act in self._actions[op_id]], key=_hole_key)
         h = full.index(None)
         return ContextElem(op_id, h, full[:h] + full[h + 1 :])
 

@@ -23,9 +23,7 @@ from .coalgebra import (
     Coalgebra,
     FinitePath,
     PointedCoalgebra,
-    _adjacency,
     _csr,
-    _scc_adj,
     _scc_csr,
     _step_pairs,
     cycles_through,
@@ -145,10 +143,14 @@ def _witness(
     )
 
 
-def is_thin(pc: PointedCoalgebra) -> ThinVerdict:
-    """Linear-time thinness check with a witness on failure.
+def _thin_components(pc: PointedCoalgebra):
+    """Reachable components and the first state that breaks thinness.
 
-    The witness names the first offending state in component emission order.
+    Returns ``(offs, flat, comps, comp, offender)``: the offset/flat
+    adjacency, the components in emission order with the component id per
+    state (see ``_scc_csr``), and ``(state, component index)`` of the first
+    state in emission order with two edges inside its component, or
+    ``None`` when the coalgebra is thin.
     """
     c = pc.coalg
     offs, flat = _csr(c)
@@ -162,8 +164,20 @@ def is_thin(pc: PointedCoalgebra) -> ThinVerdict:
                 if comp[t] == ci:
                     k += 1
             if k >= 2:
-                return ThinVerdict(False, _witness(c, offs, flat, pc.root, s, members))
-    return ThinVerdict(True, None)
+                return offs, flat, comps, comp, (s, ci)
+    return offs, flat, comps, comp, None
+
+
+def is_thin(pc: PointedCoalgebra) -> ThinVerdict:
+    """Linear-time thinness check with a witness on failure.
+
+    The witness names the first offending state in component emission order.
+    """
+    offs, flat, comps, _, offender = _thin_components(pc)
+    if offender is None:
+        return ThinVerdict(True, None)
+    s, ci = offender
+    return ThinVerdict(False, _witness(pc.coalg, offs, flat, pc.root, s, comps[ci]))
 
 
 def oracle_is_thin(pc: PointedCoalgebra, maxlen: int) -> bool:
@@ -204,11 +218,10 @@ def count_infinite_paths_class(pc: PointedCoalgebra) -> PathClassCount:
     one path each, a loop with a live exit already gives one path per number
     of turns, and trivial states sum over their successor edges.
     """
-    if not is_thin(pc).thin:
+    _, _, comps, comp, offender = _thin_components(pc)
+    if offender is not None:
         return PathClassCount("uncountable")
     c = pc.coalg
-    adj = _adjacency(c)
-    comps, comp = _scc_adj(adj, [pc.root], c.n_states)
 
     INF = -1  # countably infinite marker
     value: dict[int, int] = {}

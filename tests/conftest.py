@@ -1,8 +1,9 @@
 """Shared fixtures: the three headline systems and the signatures they live in.
 
 ``sig_poly`` is the rigid arity-0/1/2 signature used for tree-shaped terms,
-``sig_bag`` its unordered-pair variant, and ``sig_server`` the mixed signature
-with a three-successor operation whose last two positions commute.
+``sig_bag`` its unordered-pair variant, ``sig_server`` the mixed signature
+with a three-successor operation whose last two positions commute, and
+``sig_mixed`` one operation per kind of symmetry up to arity 4.
 """
 
 import itertools
@@ -42,6 +43,22 @@ def sig_server():
             OperationSymbol("halt", 0),
             OperationSymbol("step", 1),
             OperationSymbol("spawn", 3, ((0, 2, 1),)),
+        ]
+    )
+
+
+@pytest.fixture(scope="session")
+def sig_mixed():
+    # Every kind of group up to arity 4: rigid, a swap, a swap of two of
+    # three positions, and a 4-cycle, the one group that is not a product
+    # of symmetric groups.
+    return SignatureSpec(
+        [
+            OperationSymbol("n0", 0),
+            OperationSymbol("n1", 1),
+            OperationSymbol("pair", 2, ((1, 0),)),
+            OperationSymbol("tri", 3, ((0, 2, 1),)),
+            OperationSymbol("cyc", 4, ((1, 2, 3, 0),)),
         ]
     )
 

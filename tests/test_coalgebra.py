@@ -5,9 +5,18 @@ import random
 import pytest
 
 from conftest import all_coalgebras, build
-from thincoalg import Coalgebra, CoalgebraError, FElem, PointedCoalgebra
+from thincoalg import (
+    Coalgebra,
+    CoalgebraError,
+    FElem,
+    OperationSymbol,
+    PointedCoalgebra,
+    SignatureSpec,
+)
+from thincoalg import coalgebra
 from thincoalg.coalgebra import (
     FinitePath,
+    _refine,
     beh_equal,
     canonical_key,
     cycles_through,
@@ -240,6 +249,123 @@ def test_minimize_is_idempotent_and_a_morphism(sig_bag, sig_server):
             for s in mapping:
                 image = sig.map_elem(pc.coalg.transition[s], mapping.__getitem__)
                 assert image == mpc.coalg.transition[mapping[s]]
+
+
+# -- worklist refinement against the round-based reference ---------------
+
+
+def _refine_by_rounds(c, states):
+    # Reference: re-sign every state every round until the block count holds.
+    sig = c.sig
+    block = {s: 0 for s in states}
+    nblocks = 1
+    while True:
+        keys = {}
+        for s in states:
+            elem = sig.map_elem(c.transition[s], lambda t: block[t])
+            keys[s] = (block[s], elem.op, elem.args)
+        distinct = sorted(set(keys.values()))
+        ids = {key: i for i, key in enumerate(distinct)}
+        block = {s: ids[keys[s]] for s in states}
+        if len(distinct) == nblocks:
+            return block
+        nblocks = len(distinct)
+
+
+def _partition(block):
+    # Block ids are arbitrary: name each block by its least member.
+    least = {}
+    for s in sorted(block):
+        least.setdefault(block[s], s)
+    return {s: least[b] for s, b in block.items()}
+
+
+def _state_sets(c):
+    n = c.n_states
+    yield list(range(n))
+    for root in range(n):
+        yield reachable_states(c, root)
+
+
+def _assert_refines_like_reference(c):
+    for states in _state_sets(c):
+        got = _refine(c, states)
+        assert sorted(got) == sorted(states)
+        assert _partition(got) == _partition(_refine_by_rounds(c, states))
+
+
+def _assert_minimizes_like_reference(c, monkeypatch):
+    for root in range(c.n_states):
+        pc = PointedCoalgebra(c, root)
+        got = minimize(pc)
+        with monkeypatch.context() as m:
+            m.setattr(coalgebra, "_refine", _refine_by_rounds)
+            want = minimize(pc)
+        assert got == want
+
+
+@pytest.mark.parametrize("name", ["sig_poly", "sig_bag", "sig_server"])
+def test_refine_matches_rounds_exhaustively(name, request):
+    sig = request.getfixturevalue(name)
+    for n in range(1, 4):
+        for c in all_coalgebras(sig, n):
+            _assert_refines_like_reference(c)
+
+
+@pytest.fixture(scope="module")
+def sig_wide():
+    # The benchmark's non-product D_6 next to the product S_3 x S_3.
+    return SignatureSpec(
+        [
+            OperationSymbol("z", 0),
+            OperationSymbol("d6", 6, ((1, 2, 3, 4, 5, 0), (0, 5, 4, 3, 2, 1))),
+            OperationSymbol(
+                "s3s3",
+                6,
+                ((1, 0, 2, 3, 4, 5), (1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 3, 5), (0, 1, 2, 4, 5, 3)),
+            ),
+        ]
+    )
+
+
+@pytest.mark.parametrize("name", ["sig_mixed", "sig_wide"])
+def test_refine_matches_rounds_on_random_systems(name, request, monkeypatch):
+    sig = request.getfixturevalue(name)
+    rng = random.Random(6143)
+    for _ in range(150):
+        n = rng.randrange(1, 13)
+        # Few values per system make equal successors, hence merges, likely.
+        targets = rng.sample(range(n), min(n, rng.randrange(1, 4)))
+        rows = []
+        for _ in range(n):
+            op = rng.choice(sig.ops)
+            rows.append((op.id, tuple(rng.choice(targets) for _ in range(op.arity))))
+        c = build(sig, rows).coalg
+        _assert_refines_like_reference(c)
+        _assert_minimizes_like_reference(c, monkeypatch)
+
+
+def test_minimize_matches_rounds_exhaustively(sig_poly, sig_bag, sig_server, monkeypatch):
+    for sig in (sig_poly, sig_bag, sig_server):
+        for n in range(1, 4):
+            for c in all_coalgebras(sig, n):
+                _assert_minimizes_like_reference(c, monkeypatch)
+
+
+def test_refine_follows_long_chains(sig_poly):
+    # Two u-chains of 20 steps into c merge state by state; a third chain of
+    # 20 steps into a b-loop stays apart from both.  Telling the chains apart
+    # takes one round per step, well past the exhaustive sizes above.
+    rows = []
+    for end in ("c", "c", "b"):
+        base = len(rows)
+        rows += [("u", (base + i + 1,)) for i in range(20)]
+        rows.append(("c", ()) if end == "c" else ("b", (base + 20, base + 20)))
+    c = build(sig_poly, rows).coalg
+    states = list(range(c.n_states))
+    got = _partition(_refine(c, states))
+    assert got == _partition(_refine_by_rounds(c, states))
+    assert len(set(got.values())) == 42
 
 
 # -- behavioural equality and fingerprints --------------------------------

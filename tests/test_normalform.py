@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from conftest import build
-from thincoalg import NonThinError, TermError
+from conftest import all_coalgebras, build
+from thincoalg import NonThinError, PointedCoalgebra, TermError, is_thin
+from thincoalg.coalgebra import reachable_condensation
 from thincoalg.generate import rand_term
 from thincoalg.normalform import (
     brute_force_normal,
@@ -74,6 +75,67 @@ def test_state_ranks_requires_thin_input(bag_ss):
     with pytest.raises(NonThinError) as exc:
         state_ranks(bag_ss)
     assert exc.value.verdict.witness is not None
+
+
+def _reference_lone_entry(c, entries, s):
+    # The lone-state rule with the original ascending threshold search: try
+    # k = 0, 1, ... up to the largest spine value or side major and keep
+    # every decomposition that fits under the first k with a hit.
+    succ = sorted(set(c.transition[s].args))
+    if succ:
+        f_rank = Rank(
+            max(entries[t].rank.major for t in succ),
+            1 + max(entries[t].rank.minor for t in succ),
+        )
+    else:
+        f_rank = Rank(0, 1)
+    through = [
+        (ctx, x)
+        for ctx, x in c.sig.decompositions(c.transition[s])
+        if entries[x].g_value is not None
+    ]
+    if not through:
+        return (f_rank, "f", None, ())
+    ceiling = 0
+    for ctx, x in through:
+        ceiling = max(ceiling, entries[x].g_value)
+        for y in ctx.sides:
+            ceiling = max(ceiling, entries[y].rank.major)
+    for k in range(ceiling + 1):
+        hits = tuple(
+            (ctx, x)
+            for ctx, x in through
+            if entries[x].g_value <= k
+            and all(entries[y].rank.major <= k for y in ctx.sides)
+        )
+        if hits:
+            g_rank = Rank(k + 1, 0)
+            if g_rank < f_rank:
+                return (g_rank, "g", k, hits)
+            return (f_rank, "f", k, hits)
+    raise AssertionError("threshold search failed below its ceiling")
+
+
+@pytest.mark.parametrize("name", ["sig_poly", "sig_bag", "sig_server"])
+def test_lone_state_ranks_match_threshold_search(name, request):
+    sig = request.getfixturevalue(name)
+    spines = 0
+    for n in range(1, 4):
+        for c in all_coalgebras(sig, n):
+            for root in range(n):
+                pc = PointedCoalgebra(c, root)
+                if not is_thin(pc).thin:
+                    continue
+                entries = state_ranks(pc).entries
+                for members in reachable_condensation(pc).components:
+                    s = members[0]
+                    if len(members) > 1 or s in c.transition[s].args:
+                        continue
+                    e = entries[s]
+                    want = _reference_lone_entry(c, entries, s)
+                    assert (e.rank, e.kind, e.g_value, e.spine) == want
+                    spines += e.g_value is not None
+    assert spines > 0
 
 
 # -- extraction and normalization -----------------------------------------

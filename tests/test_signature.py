@@ -338,19 +338,6 @@ def elem_strategy(sig):
     )
 
 
-@pytest.fixture(scope="module")
-def sig_mixed():
-    return SignatureSpec(
-        [
-            OperationSymbol("n0", 0),
-            OperationSymbol("n1", 1),
-            OperationSymbol("pair", 2, ((1, 0),)),
-            OperationSymbol("tri", 3, ((0, 2, 1),)),
-            OperationSymbol("cyc", 4, ((1, 2, 3, 0),)),
-        ]
-    )
-
-
 def test_base_of_plug_adds_the_value(sig_mixed):
     rng = random.Random(3)
     for _ in range(500):
