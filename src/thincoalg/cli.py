@@ -30,7 +30,6 @@ import json
 import os
 import sys
 import time
-from pathlib import Path
 
 from .coalgebra import PointedCoalgebra, paths_to_depth
 from .errors import CoalgebraError, NonThinError, SignatureError, TermError
@@ -38,7 +37,6 @@ from .files import (
     dump_coalgebra,
     dump_json,
     dump_path,
-    dump_signature,
     dump_term,
     dump_witness,
     file_digest,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import CoalgebraError
 from .signature import FElem, SignatureSpec
@@ -122,15 +122,7 @@ def reachable_states(c: Coalgebra, root: int) -> list[int]:
 
 def _step_pairs(c: Coalgebra, state: int) -> list[tuple[int, int]]:
     # Successor pairs ordered as they appear along a path: index, then state.
-    counts: dict[int, int] = {}
-    out = []
-    for t in c.transition[state].args:
-        counts[t] = counts.get(t, 0) + 1
-    for t in sorted(counts):
-        for k in range(counts[t]):
-            out.append((k, t))
-    out.sort()
-    return out
+    return sorted((k, t) for t, k in c.successors(state))
 
 
 def paths_to_depth(pc: PointedCoalgebra, depth: int) -> list[FinitePath]:
@@ -279,47 +271,29 @@ def _scc_csr(offs: array, flat: array, roots: Iterable[int], n: int):
     return comps, comp
 
 
-def _scc_adj(adj: list[tuple[int, ...]], roots: Iterable[int], n: int):
-    """Strong components of tuple-form adjacency; see ``_scc_csr``."""
-    offs = array("l", [0]) * (n + 1)
-    flat: list[int] = []
-    for s in range(n):
-        flat.extend(adj[s])
-        offs[s + 1] = len(flat)
-    comps, comp = _scc_csr(offs, array("l", flat), roots, n)
-    return comps, list(comp)
-
-
-def _adjacency(c: Coalgebra) -> list[tuple[int, ...]]:
-    return [tuple(sorted(set(e.args))) for e in c.transition]
+def _condensation(c: Coalgebra, roots: Iterable[int]) -> Condensation:
+    offs, flat = _csr(c)
+    comps, comp = _scc_csr(offs, flat, roots, c.n_states)
+    edges = set()
+    for s in range(c.n_states):
+        cs = comp[s]
+        if cs == -1:
+            continue
+        for i in range(offs[s], offs[s + 1]):
+            ct = comp[flat[i]]
+            if ct != cs:
+                edges.add((cs, ct))
+    return Condensation(tuple(comps), tuple(comp), tuple(sorted(edges)))
 
 
 def sccs(c: Coalgebra) -> Condensation:
     """Strongly connected components of the successor graph, all states."""
-    adj = _adjacency(c)
-    comps, comp = _scc_adj(adj, range(c.n_states), c.n_states)
-    edges = set()
-    for s in range(c.n_states):
-        cs = comp[s]
-        for t in adj[s]:
-            if comp[t] != cs:
-                edges.add((cs, comp[t]))
-    return Condensation(tuple(comps), tuple(comp), tuple(sorted(edges)))
+    return _condensation(c, range(c.n_states))
 
 
 def reachable_condensation(pc: PointedCoalgebra) -> Condensation:
     """SCCs of the part reachable from the root; unreachable states get -1."""
-    c = pc.coalg
-    adj = _adjacency(c)
-    comps, comp = _scc_adj(adj, [pc.root], c.n_states)
-    edges = set()
-    for s in range(c.n_states):
-        if comp[s] == -1:
-            continue
-        for t in adj[s]:
-            if comp[t] != comp[s]:
-                edges.add((comp[s], comp[t]))
-    return Condensation(tuple(comps), tuple(comp), tuple(sorted(edges)))
+    return _condensation(pc.coalg, [pc.root])
 
 
 # -- behavioural equivalence ---------------------------------------------

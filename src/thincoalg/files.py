@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .coalgebra import Coalgebra, FinitePath, PointedCoalgebra
+from .coalgebra import Coalgebra, FinitePath
 from .errors import CoalgebraError, SignatureError, TermError
 from .signature import DEFAULT_ARITY_CAP, ContextElem, OperationSymbol, SignatureSpec
 from .terms import FNode, GNode, LassoStream, Term

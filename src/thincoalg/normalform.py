@@ -2,7 +2,9 @@
 
 ``state_ranks`` computes, per reachable state of a thin coalgebra, the least
 rank of any term unfolding to that state's behaviour, together with which node
-kind attains it.  Components are processed in reverse topological order:
+kind attains it.  It folds over the components and loop flags of the thinness
+check's reachable condensation (``thinness._require_thin``), in reverse
+topological order:
 
 * A state inside a loop component always takes a stream node.  Its spine is
   the loop itself, the only spine that avoids mentioning a same-component
@@ -16,7 +18,8 @@ kind attains it.  Components are processed in reverse topological order:
   continue into a spine, of the largest of the spine value and the side
   majors.  The decompositions attaining it form the state's spine choices.
 
-``extract_normal`` then reads a term off the table, minimizing first.  All
+``extract_normal`` checks its input for thinness, minimizes, and reads a term
+off the quotient's table; only ``state_ranks`` analyses the quotient.  All
 tie-breaking compares extracted terms, never state numbers, so behaviourally
 equal inputs extract structurally identical terms.  ``brute_force_normal`` is
 the independent oracle: enumerate every candidate term up to a size bound and
@@ -29,14 +32,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .coalgebra import (
-    PointedCoalgebra,
-    _adjacency,
-    _scc_adj,
-    canonical_key,
-    minimize,
-)
-from .errors import NonThinError, TermError
+from .coalgebra import PointedCoalgebra, canonical_key, minimize
+from .errors import TermError
 from .semantics import unfold
 from .signature import ContextElem, SignatureSpec
 from .terms import (
@@ -49,7 +46,7 @@ from .terms import (
     subterms,
     term_size,
 )
-from .thinness import is_thin
+from .thinness import _require_thin
 
 
 @dataclass(frozen=True)
@@ -86,18 +83,13 @@ def state_ranks(pc: PointedCoalgebra) -> StateRankTable:
 
     Raises ``NonThinError`` on non-thin input.
     """
-    verdict = is_thin(pc)
-    if not verdict.thin:
-        raise NonThinError(verdict)
+    comps, comp, looped = _require_thin(pc)
     c = pc.coalg
     sig = c.sig
-    adj = _adjacency(c)
-    comps, comp = _scc_adj(adj, [pc.root], c.n_states)
 
     entries: dict[int, StateRank] = {}
     for ci, members in enumerate(comps):
-        in_loop = any(comp[t] == ci for s in members for t in c.transition[s].args)
-        if in_loop:
+        if looped[ci]:
             outside = 0
             for s in members:
                 for t in c.transition[s].args:
@@ -157,9 +149,7 @@ def extract_normal(pc: PointedCoalgebra) -> Term:
     spines collect their contexts until a state repeats, closing the lasso.
     Deterministic and invariant under behavioural equivalence of the input.
     """
-    verdict = is_thin(pc)
-    if not verdict.thin:
-        raise NonThinError(verdict)
+    _require_thin(pc)
     mpc, _ = minimize(pc)
     table = state_ranks(mpc)
     c = mpc.coalg

@@ -26,7 +26,7 @@ a ``sort_key`` attribute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import factorial, prod
 from operator import itemgetter

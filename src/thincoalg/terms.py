@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .errors import TermError
 from .signature import ContextElem, FElem, SignatureSpec

@@ -7,10 +7,18 @@ state with two in-component edges yields two cycles that differ at their first
 step, hence neither is a prefix of the other, and strong connectivity pumps
 that divergence into uncountably many infinite paths.
 
-``is_thin`` runs in time linear in states plus edges.  ``oracle_is_thin`` is
-the definitional cross-check: enumerate bounded cycles through every state and
-test pairwise prefix-comparability.  ``count_infinite_paths_class`` refines
-the verdict into none / finitely many / countably many / uncountably many.
+``_thin_components`` is the one analysis of the reachable condensation: it
+builds the offset/flat adjacency once, finds the components by one path-based
+search (Gabow 2000) in reverse topological order, and flags each component
+that is a loop while it counts in-component edges, stopping at the first
+offender.  Its consumers fold over that result instead of searching again:
+``is_thin`` builds the witness from it, ``count_infinite_paths_class`` (the
+census) folds path counts over it, and, through the ``_require_thin`` guard,
+``normalform.state_ranks`` and ``treeenc.cb_rank`` fold ranks over it while
+``normalform.extract_normal`` checks its input with it.  All of it runs in
+time linear in states plus edges.  ``oracle_is_thin`` is the definitional
+cross-check: enumerate bounded cycles through every state and test pairwise
+prefix-comparability.
 """
 
 from __future__ import annotations
@@ -25,10 +33,10 @@ from .coalgebra import (
     PointedCoalgebra,
     _csr,
     _scc_csr,
-    _step_pairs,
     cycles_through,
     reachable_states,
 )
+from .errors import NonThinError
 
 
 @dataclass(frozen=True)
@@ -89,11 +97,7 @@ def _witness(
     mem = bytearray(n)
     for s in comp_members:
         mem[s] = 1
-    counts: dict[int, int] = {}
-    for t in c.transition[offender].args:
-        if mem[t]:
-            counts[t] = counts.get(t, 0) + 1
-    in_pairs = [(t, k) for t in sorted(counts) for k in range(counts[t])]
+    in_pairs = [p for p in c.successors(offender) if mem[p[0]]]
     (t1, k1), (t2, k2) = in_pairs[0], in_pairs[1]
 
     access_par = _bfs_tree(offs, flat, root, n)
@@ -144,17 +148,21 @@ def _witness(
 
 
 def _thin_components(pc: PointedCoalgebra):
-    """Reachable components and the first state that breaks thinness.
+    """Reachable components, their loop flags, and the first state that
+    breaks thinness.
 
-    Returns ``(offs, flat, comps, comp, offender)``: the offset/flat
+    Returns ``(offs, flat, comps, comp, looped, offender)``: the offset/flat
     adjacency, the components in emission order with the component id per
-    state (see ``_scc_csr``), and ``(state, component index)`` of the first
-    state in emission order with two edges inside its component, or
-    ``None`` when the coalgebra is thin.
+    state (see ``_scc_csr``), one byte per component that is 1 when some
+    member keeps an edge inside it, and ``(state, component index)`` of the
+    first state in emission order with two edges inside its component, or
+    ``None`` when the coalgebra is thin.  Loop flags are complete only when
+    the coalgebra is thin.
     """
     c = pc.coalg
     offs, flat = _csr(c)
     comps, comp = _scc_csr(offs, flat, [pc.root], c.n_states)
+    looped = bytearray(len(comps))
     for ci, members in enumerate(comps):
         # A component passes when every member keeps at most one edge inside
         # it; strong connectivity then forces a plain loop or a lone state.
@@ -164,8 +172,23 @@ def _thin_components(pc: PointedCoalgebra):
                 if comp[t] == ci:
                     k += 1
             if k >= 2:
-                return offs, flat, comps, comp, (s, ci)
-    return offs, flat, comps, comp, None
+                return offs, flat, comps, comp, looped, (s, ci)
+            if k:
+                looped[ci] = 1
+    return offs, flat, comps, comp, looped, None
+
+
+def _require_thin(pc: PointedCoalgebra):
+    """``(comps, comp, looped)`` of a thin coalgebra (see ``_thin_components``).
+
+    Raises ``NonThinError`` carrying the verdict ``is_thin`` returns.
+    """
+    offs, flat, comps, comp, looped, offender = _thin_components(pc)
+    if offender is not None:
+        s, ci = offender
+        witness = _witness(pc.coalg, offs, flat, pc.root, s, comps[ci])
+        raise NonThinError(ThinVerdict(False, witness))
+    return comps, comp, looped
 
 
 def is_thin(pc: PointedCoalgebra) -> ThinVerdict:
@@ -173,11 +196,11 @@ def is_thin(pc: PointedCoalgebra) -> ThinVerdict:
 
     The witness names the first offending state in component emission order.
     """
-    offs, flat, comps, _, offender = _thin_components(pc)
-    if offender is None:
-        return ThinVerdict(True, None)
-    s, ci = offender
-    return ThinVerdict(False, _witness(pc.coalg, offs, flat, pc.root, s, comps[ci]))
+    try:
+        _require_thin(pc)
+    except NonThinError as exc:
+        return exc.verdict
+    return ThinVerdict(True, None)
 
 
 def oracle_is_thin(pc: PointedCoalgebra, maxlen: int) -> bool:
@@ -218,7 +241,7 @@ def count_infinite_paths_class(pc: PointedCoalgebra) -> PathClassCount:
     one path each, a loop with a live exit already gives one path per number
     of turns, and trivial states sum over their successor edges.
     """
-    _, _, comps, comp, offender = _thin_components(pc)
+    _, _, comps, comp, looped, offender = _thin_components(pc)
     if offender is not None:
         return PathClassCount("uncountable")
     c = pc.coalg
@@ -226,10 +249,7 @@ def count_infinite_paths_class(pc: PointedCoalgebra) -> PathClassCount:
     INF = -1  # countably infinite marker
     value: dict[int, int] = {}
     for ci, members in enumerate(comps):
-        in_edges = sum(
-            1 for s in members for t in c.transition[s].args if comp[t] == ci
-        )
-        if in_edges:
+        if looped[ci]:
             live_exit = False
             for s in members:
                 for t in c.transition[s].args:

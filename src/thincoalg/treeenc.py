@@ -9,9 +9,10 @@ reads the same set from the unfolded coalgebra, so the two must agree at
 every depth.
 
 ``cb_rank`` measures how often isolated branches must be removed before the
-branch set stops changing, computed on the coalgebra by a reverse topological
-pass: a lone state takes the largest value among its successors, a loop adds
-one to the largest value reachable through its exits (one when it has none).
+branch set stops changing, folded in reverse topological order over the
+thinness check's reachable condensation (``thinness._require_thin``): a lone
+state takes the largest value among its successors, a loop adds one to the
+largest value reachable through its exits (one when it has none).
 For thin inputs this equals the major rank of the normal term.
 """
 
@@ -19,12 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coalgebra import PointedCoalgebra, _adjacency, _scc_adj
-from .errors import NonThinError, SignatureError
+from .coalgebra import PointedCoalgebra
+from .errors import SignatureError
 from .semantics import unfold
 from .signature import SignatureSpec
-from .terms import FNode, GNode, Term
-from .thinness import is_thin
+from .terms import FNode, Term
+from .thinness import _require_thin
 
 Word = tuple[int, ...]
 
@@ -112,16 +113,11 @@ def dom_tree(sig: SignatureSpec, t: Term, depth: int) -> WordTree:
 def cb_rank(pc: PointedCoalgebra) -> int:
     """Derivative rank of the behaviour tree of a thin rigid coalgebra."""
     assert_polynomial(pc.coalg.sig)
-    verdict = is_thin(pc)
-    if not verdict.thin:
-        raise NonThinError(verdict)
+    comps, comp, looped = _require_thin(pc)
     c = pc.coalg
-    adj = _adjacency(c)
-    comps, comp = _scc_adj(adj, [pc.root], c.n_states)
     value: dict[int, int] = {}
     for ci, members in enumerate(comps):
-        looped = any(comp[t] == ci for s in members for t in c.transition[s].args)
-        if looped:
+        if looped[ci]:
             v = 1
             for s in members:
                 for t in c.transition[s].args:

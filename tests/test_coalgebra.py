@@ -131,7 +131,9 @@ def test_path_count_matches_enumeration(sig_bag, sig_server):
         for _ in range(25):
             pc = _rand_pc(rng, sig, rng.randrange(1, 5))
             for depth in range(5):
-                assert path_count(pc, depth) == len(paths_to_depth(pc, depth))
+                paths = paths_to_depth(pc, depth)
+                assert path_count(pc, depth) == len(paths)
+                assert paths == sorted(paths, key=FinitePath.flat_key)
 
 
 def test_cycle_enumeration(bag_ss, u_loop, server_pc):
@@ -198,6 +200,9 @@ def test_condensation_skips_unreachable(sig_poly):
     cond = reachable_condensation(pc)
     assert cond.components == ((0,),)
     assert cond.component_of == (0, -1)
+    # an unreachable state's edge into the reachable part is no edge
+    pc = build(sig_poly, [("u", (0,)), ("b", (1, 0))])
+    assert reachable_condensation(pc).edges == ()
 
 
 def test_single_component_cycle(bag_tree):

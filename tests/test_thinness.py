@@ -4,15 +4,17 @@ import random
 
 import pytest
 
-from conftest import build
-from thincoalg import PointedCoalgebra
+from conftest import all_coalgebras, build
+from thincoalg import NonThinError, PointedCoalgebra, coalgebra, thinness
 from thincoalg.coalgebra import minimize, reachable_states, validate_path
+from thincoalg.normalform import extract_normal, state_ranks
 from thincoalg.thinness import (
     PathClassCount,
     count_infinite_paths_class,
     is_thin,
     oracle_is_thin,
 )
+from thincoalg.treeenc import cb_rank
 
 
 def _rand_pc(rng, sig, n):
@@ -205,3 +207,55 @@ def test_census_matches_first_principles(sig_bag, sig_poly, sig_server):
             assert got == _census_oracle(pc)
             kinds.add(got.kind)
     assert kinds == {"zero", "finite", "countably-infinite", "uncountable"}
+
+
+# -- the shared condensation analysis -------------------------------------
+
+
+@pytest.mark.parametrize("name", ["sig_poly", "sig_bag", "sig_server"])
+def test_consumers_raise_the_verdict_of_is_thin(name, request):
+    sig = request.getfixturevalue(name)
+    consumers = [state_ranks, extract_normal]
+    if name == "sig_poly":
+        consumers.append(cb_rank)
+    seen = 0
+    for n in range(1, 4):
+        for c in all_coalgebras(sig, n):
+            for root in range(n):
+                pc = PointedCoalgebra(c, root)
+                verdict = is_thin(pc)
+                if verdict.thin:
+                    continue
+                seen += 1
+                for consumer in consumers:
+                    with pytest.raises(NonThinError) as exc:
+                        consumer(pc)
+                    assert exc.value.verdict == verdict
+    assert seen > 0
+
+
+def test_each_consumer_searches_components_once(monkeypatch, sig_poly):
+    calls = []
+    search = coalgebra._scc_csr
+
+    def counting(*args):
+        calls.append(1)
+        return search(*args)
+
+    monkeypatch.setattr(coalgebra, "_scc_csr", counting)
+    monkeypatch.setattr(thinness, "_scc_csr", counting)
+    # A branch into a u-loop that exits to a leaf, beside a leaf.
+    pc = build(
+        sig_poly,
+        [("b", (1, 3)), ("u", (2,)), ("b", (1, 3)), ("c", ())],
+    )
+    for consumer, want in (
+        (is_thin, 1),
+        (count_infinite_paths_class, 1),
+        (state_ranks, 1),
+        (cb_rank, 1),
+        (extract_normal, 2),  # the input, then the quotient
+    ):
+        calls.clear()
+        consumer(pc)
+        assert len(calls) == want, consumer.__name__
