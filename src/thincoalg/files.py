@@ -15,7 +15,7 @@ from typing import Any
 
 from .coalgebra import Coalgebra, FinitePath
 from .errors import CoalgebraError, SignatureError, TermError
-from .signature import DEFAULT_ARITY_CAP, ContextElem, OperationSymbol, SignatureSpec
+from .signature import DEFAULT_ARITY_CAP, OperationSymbol, SignatureSpec
 from .terms import FNode, GNode, LassoStream, Term
 from .thinness import ThinWitness
 
@@ -146,7 +146,8 @@ def dump_coalgebra(c: Coalgebra, root: int | None = None) -> dict:
 # -- terms ----------------------------------------------------------------
 
 
-def _term_from(data: Any, sig: SignatureSpec) -> Term:
+def _open_term(data: Any) -> tuple:
+    """Check a term node before its children; returns its build frame."""
     if not isinstance(data, dict) or len(data) != 1:
         raise TermError("term node must be an object with exactly 'f' or 'g'")
     if "f" in data:
@@ -156,8 +157,7 @@ def _term_from(data: Any, sig: SignatureSpec) -> Term:
         children = body.get("children", [])
         if not isinstance(children, list):
             raise TermError("'children' must be a list")
-        args = tuple(_term_from(ch, sig) for ch in children)
-        return FNode(sig.canonical_tuple(body["op"], args))
+        return ("f", body["op"], None, children, [])
     if "g" in data:
         body = data["g"]
         if not isinstance(body, dict):
@@ -168,13 +168,12 @@ def _term_from(data: Any, sig: SignatureSpec) -> Term:
             raise TermError("stream node needs 'prefix' and 'period' lists")
         if not period:
             raise TermError("stream period must be nonempty")
-        pctx = tuple(_ctx_from(c, sig) for c in prefix)
-        qctx = tuple(_ctx_from(c, sig) for c in period)
-        return GNode(LassoStream(pctx, qctx))
+        return ("g", None, len(prefix), prefix + period, [])
     raise TermError("term node must contain 'f' or 'g'")
 
 
-def _ctx_from(data: Any, sig: SignatureSpec) -> ContextElem:
+def _open_ctx(data: Any) -> tuple:
+    """Check a context before its sides; returns its build frame."""
     if not isinstance(data, dict) or not isinstance(data.get("op"), str):
         raise TermError("context needs an 'op' string")
     if not isinstance(data.get("hole"), int):
@@ -182,8 +181,34 @@ def _ctx_from(data: Any, sig: SignatureSpec) -> ContextElem:
     sides = data.get("sides", [])
     if not isinstance(sides, list):
         raise TermError("'sides' must be a list")
-    terms = tuple(_term_from(s, sig) for s in sides)
-    return sig.canonical_context(data["op"], data["hole"], terms)
+    return ("c", data["op"], data["hole"], sides, [])
+
+
+def _term_from(data: Any, sig: SignatureSpec) -> Term:
+    """Build a term from its JSON document on an explicit stack.
+
+    Each node is checked before its children and built after them, left to
+    right, so the first error raised is the one a depth-first reading meets.
+    A frame is (kind, op, hole or prefix length, child documents, children
+    built so far); the children of a stream node are contexts.
+    """
+    stack = [_open_term(data)]
+    while True:
+        kind, op, extra, children, built = stack[-1]
+        if len(built) < len(children):
+            child = children[len(built)]
+            stack.append(_open_ctx(child) if kind == "g" else _open_term(child))
+            continue
+        stack.pop()
+        if kind == "f":
+            value = FNode(sig.canonical_tuple(op, built))
+        elif kind == "g":
+            value = GNode(LassoStream(tuple(built[:extra]), tuple(built[extra:])))
+        else:
+            value = sig.canonical_context(op, extra, built)
+        if not stack:
+            return value
+        stack[-1][4].append(value)
 
 
 def load_term(src: Any, sig: SignatureSpec) -> Term:
@@ -191,24 +216,26 @@ def load_term(src: Any, sig: SignatureSpec) -> Term:
 
 
 def dump_term(t: Term) -> dict:
-    if isinstance(t, FNode):
-        return {
-            "f": {"op": t.elem.op, "children": [dump_term(c) for c in t.elem.args]}
-        }
-    return {
-        "g": {
-            "prefix": [_ctx_to(c) for c in t.stream.prefix],
-            "period": [_ctx_to(c) for c in t.stream.period],
-        }
-    }
-
-
-def _ctx_to(ctx: ContextElem) -> dict:
-    return {
-        "op": ctx.op,
-        "hole": ctx.hole,
-        "sides": [dump_term(s) for s in ctx.sides],
-    }
+    """The JSON document of ``t``, one nested object per node occurrence."""
+    root: dict = {}
+    stack = [(t, root)]
+    while stack:
+        u, out = stack.pop()
+        if isinstance(u, FNode):
+            children = [{} for _ in u.elem.args]
+            out["f"] = {"op": u.elem.op, "children": children}
+            stack.extend(zip(u.elem.args, children))
+            continue
+        lists = []
+        for ctxs in (u.stream.prefix, u.stream.period):
+            docs = []
+            for ctx in ctxs:
+                sides = [{} for _ in ctx.sides]
+                docs.append({"op": ctx.op, "hole": ctx.hole, "sides": sides})
+                stack.extend(zip(ctx.sides, sides))
+            lists.append(docs)
+        out["g"] = {"prefix": lists[0], "period": lists[1]}
+    return root
 
 
 # -- paths and witnesses --------------------------------------------------

@@ -148,6 +148,11 @@ def extract_normal(pc: PointedCoalgebra) -> Term:
     Minimizes, ranks, then follows the best kind at every state; stream
     spines collect their contexts until a state repeats, closing the lasso.
     Deterministic and invariant under behavioural equivalence of the input.
+
+    States are extracted from an explicit stack: a state is built once every
+    state its term mentions, and every state a tie-break on its spine
+    compares, is built.  Sides of a lone state sit strictly below it, so
+    these demands never loop back.
     """
     _require_thin(pc)
     mpc, _ = minimize(pc)
@@ -157,49 +162,74 @@ def extract_normal(pc: PointedCoalgebra) -> Term:
 
     memo: dict[int, Term] = {}
     chosen: dict[int, tuple[ContextElem, int]] = {}
+    # Spine walks in progress: state -> [contexts so far, seen, current, cut].
+    walks: dict[int, list] = {}
 
-    def choose_step(s: int) -> tuple[ContextElem, int]:
-        got = chosen.get(s)
-        if got is None:
-            cands = table[s].spine
-            if len(cands) == 1:
-                got = cands[0]
-            else:
-                # Sides of a lone state sit strictly below it, so extraction
-                # of the tie-break keys cannot loop back through s.
-                got = min(
-                    cands,
-                    key=lambda p: (
-                        sig.map_ctx(p[0], extract).sort_key,
-                        extract(p[1]).sort_key,
-                    ),
-                )
-            chosen[s] = got
-        return got
+    def pending(s: int) -> list[int]:
+        """States ``s`` still waits for; empty once it can be built.
 
-    def extract(s: int) -> Term:
-        t = memo.get(s)
-        if t is not None:
-            return t
+        Walks the spine of a stream state as far as its tie-breaks allow,
+        resuming where the last call stopped.
+        """
         if table[s].kind == "f":
-            t = FNode(sig.map_elem(c.transition[s], extract))
-        else:
-            ctxs: list[ContextElem] = []
-            seen = {s: 0}
-            cur = s
-            while True:
-                ctx, nxt = choose_step(cur)
-                ctxs.append(sig.map_ctx(ctx, extract))
-                if nxt in seen:
-                    cut = seen[nxt]
-                    break
-                seen[nxt] = len(ctxs)
+            return [x for x in c.transition[s].args if x not in memo]
+        walk = walks.get(s)
+        if walk is None:
+            walk = walks[s] = [[], {s: 0}, s, None]
+        steps, seen, cur, cut = walk
+        while cut is None:
+            step = chosen.get(cur)
+            if step is None:
+                cands = table[cur].spine
+                if len(cands) > 1:
+                    need = [
+                        x
+                        for ctx, nxt in cands
+                        for x in (*ctx.sides, nxt)
+                        if x not in memo
+                    ]
+                    if need:
+                        walk[2] = cur
+                        return need
+                    step = min(
+                        cands,
+                        key=lambda p: (
+                            sig.map_ctx(p[0], memo.__getitem__).sort_key,
+                            memo[p[1]],
+                        ),
+                    )
+                else:
+                    step = cands[0]
+                chosen[cur] = step
+            ctx, nxt = step
+            steps.append(ctx)
+            if nxt in seen:
+                cut = walk[3] = seen[nxt]
+            else:
+                seen[nxt] = len(steps)
                 cur = nxt
-            t = GNode(LassoStream(tuple(ctxs[:cut]), tuple(ctxs[cut:])))
-        memo[s] = t
-        return t
+        return [x for ctx in steps for x in ctx.sides if x not in memo]
 
-    return extract(mpc.root)
+    def build(s: int) -> Term:
+        if table[s].kind == "f":
+            return FNode(sig.map_elem(c.transition[s], memo.__getitem__))
+        steps, _, _, cut = walks.pop(s)
+        ctxs = tuple(sig.map_ctx(ctx, memo.__getitem__) for ctx in steps)
+        return GNode(LassoStream(ctxs[:cut], ctxs[cut:]))
+
+    stack = [mpc.root]
+    while stack:
+        s = stack[-1]
+        if s in memo:
+            stack.pop()
+            continue
+        need = pending(s)
+        if need:
+            stack.extend(need)
+        else:
+            memo[s] = build(s)
+            stack.pop()
+    return memo[mpc.root]
 
 
 def normalize(sig: SignatureSpec, t: Term) -> Term:
@@ -232,7 +262,7 @@ def enumerate_terms(sig: SignatureSpec, size_bound: int) -> list[Term]:
     ctxs: dict[int, set[ContextElem]] = {n: set() for n in range(size_bound + 1)}
 
     def term_pool(sizes) -> list[list[Term]]:
-        return [sorted(terms[n], key=lambda t: t.sort_key) for n in sizes]
+        return [sorted(terms[n]) for n in sizes]
 
     for n in range(1, size_bound + 1):
         for op in sig.ops:
@@ -261,7 +291,7 @@ def enumerate_terms(sig: SignatureSpec, size_bound: int) -> list[Term]:
     out: list[Term] = []
     for n in range(size_bound + 1):
         out.extend(terms[n])
-    return sorted(set(out), key=lambda t: t.sort_key)
+    return sorted(set(out))
 
 
 @functools.lru_cache(maxsize=8)
@@ -295,7 +325,7 @@ def brute_force_normal(sig: SignatureSpec, t: Term, size_bound: int) -> Term:
     class_floor: dict[object, Rank] = {}
     found: dict[object, list[Term]] = {}
     ordered = sorted(
-        _keyed_pool(sig, size_bound), key=lambda row: (row[1], row[0].sort_key)
+        _keyed_pool(sig, size_bound), key=lambda row: (row[1], row[0])
     )
     for cand, r, key in ordered:
         floor = class_floor.get(key)

@@ -20,8 +20,8 @@ group (a rotation of three or more positions, a dihedral group, ...) falls
 back to taking the minimum over every group element.  Groups are still
 enumerated when the signature is built, which is exponential in the arity,
 so arities stay capped (default 8, see ``DEFAULT_ARITY_CAP``).  Argument
-values must be totally ordered, either natively (ints, strings) or through
-a ``sort_key`` attribute.
+values must be totally ordered, either natively (ints, strings, terms) or
+through a ``sort_key`` attribute.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ Perm = tuple[int, ...]
 
 
 def value_key(x: Any):
-    """Sort key for argument values: native for scalars, recursive for terms."""
+    """Sort key for argument values: the value itself for scalars and terms
+    (a term is its own ``sort_key``), ``sort_key`` for nested elements."""
     key = getattr(x, "sort_key", None)
     return x if key is None else key
 
@@ -177,13 +178,19 @@ class FElem:
     """A branching value: op applied to a canonical argument tuple.
 
     Construct through ``SignatureSpec.canonical_tuple`` so the tuple is the
-    orbit minimum; direct construction skips canonicalization.
+    orbit minimum; direct construction skips canonicalization.  Coalgebras
+    hold one per state, so the class is slotted and keeps nothing else.
     """
+
+    __slots__ = ("op", "args")
 
     op: str
     args: tuple
 
-    @cached_property
+    def __reduce__(self):
+        return FElem, (self.op, self.args)
+
+    @property
     def sort_key(self):
         return (self.op, tuple(value_key(x) for x in self.args))
 
@@ -201,14 +208,20 @@ class ContextElem:
 
     ``hole`` is the canonical hole position and ``sides`` lists the remaining
     arguments in position order.  Construct through
-    ``SignatureSpec.canonical_context``.
+    ``SignatureSpec.canonical_context``.  Slotted; weakly referable so that
+    the contexts of term lassos can be interned.
     """
+
+    __slots__ = ("op", "hole", "sides", "__weakref__")
 
     op: str
     hole: int
     sides: tuple
 
-    @cached_property
+    def __reduce__(self):
+        return ContextElem, (self.op, self.hole, self.sides)
+
+    @property
     def sort_key(self):
         return (self.op, self.hole, tuple(value_key(x) for x in self.sides))
 
@@ -238,7 +251,8 @@ class SignatureSpec:
     Raises ``SignatureError`` on duplicate ids, bad permutations, or arities
     above ``arity_cap``.  Two specs are equal when they have the same ops with
     the same arities and the same enumerated groups, regardless of which
-    generators were listed.
+    generators were listed.  The equality key and its hash are built once,
+    with the signature.
     """
 
     def __init__(self, ops: Iterable[OperationSymbol], arity_cap: int = DEFAULT_ARITY_CAP):
@@ -271,21 +285,26 @@ class SignatureSpec:
                 self._actions[op.id] = tuple(
                     itemgetter(*invert_perm(g)) for g in group
                 )
+        self._eq_key = tuple(
+            (o.id, o.arity, self._groups[o.id].elements) for o in self.ops
+        )
+        # Equal groups have equal orders, so this hash agrees with ==
+        # without hashing every element.
+        self._hash = hash(tuple((o.id, o.arity, len(self._groups[o.id])) for o in self.ops))
 
     def __repr__(self) -> str:
         names = ", ".join(f"{o.id}/{o.arity}" for o in self.ops)
         return f"SignatureSpec({names})"
 
-    def _eq_key(self):
-        return tuple((o.id, o.arity, self._groups[o.id].elements) for o in self.ops)
-
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, SignatureSpec):
             return NotImplemented
-        return self._eq_key() == other._eq_key()
+        return self._hash == other._hash and self._eq_key == other._eq_key
 
     def __hash__(self) -> int:
-        return hash(self._eq_key())
+        return self._hash
 
     def op(self, op_id: str) -> OperationSymbol:
         try:

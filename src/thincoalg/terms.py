@@ -7,6 +7,21 @@ primitive (not a power of a shorter word) and the prefix is shortest under the
 rotation alignment, so two lassos are structurally equal exactly when they
 denote the same stream.
 
+Terms are hash-consed (Filliâtre & Conchon, "Type-safe modular hash-consing",
+ML 2006).  ``FNode``, ``GNode`` and ``LassoStream`` values, and the contexts a
+lasso holds, live in weak unique tables keyed by their op, hole and child
+identities, looked up after canonicalization.  Two structurally equal terms
+are therefore the same object: ``==`` is identity and ``hash`` is read from
+the node, both O(1).  The hash keeps the value the structural hash always
+had, and size, depth and rank are computed bottom-up when a node is built.
+A term nobody holds leaves its table.  Terms are immutable.
+
+Terms are totally ordered: branching nodes before stream nodes, then by op
+id and arguments, or by the prefix and period contexts, lexicographically.
+``term_compare`` follows the first difference of two terms down one node
+pair at a time, without recursion, so any depth compares; a term is its own
+``sort_key``.
+
 Ranks order terms by how their stream nodes nest.  The major component counts
 stream depth (a stream node is one more than the largest major among the side
 terms it mentions), the minor counts branching layers above the nearest stream
@@ -16,25 +31,64 @@ The two rewrite directions relate a stream node to its one-step unfolding:
 ``unfold_step`` plugs the tail stream into the head context; a fold candidate
 reverses this at any decomposition whose value is a stream node.  Both
 preserve the denoted behaviour.
+
+Every walk over a term here and in the modules built on it runs on an
+explicit stack, so term depth is limited by memory only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import FrozenInstanceError, dataclass
+from threading import RLock
 from typing import Iterator
+from weakref import ref
 
 from .errors import TermError
 from .signature import ContextElem, FElem, SignatureSpec
 
 
 class Term:
-    """Base class; concrete terms are FNode or GNode."""
+    """Base class; concrete terms are FNode or GNode.
 
-    sort_key: tuple
+    Each node carries its structural hash, rank, size and depth, filled in
+    once when the node is built.
+    """
 
-    def __lt__(self, other: "Term") -> bool:
-        return self.sort_key < other.sort_key
+    __slots__ = ("_hash", "_major", "_minor", "_size", "_depth", "__weakref__")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def sort_key(self) -> "Term":
+        """Terms order natively (see ``term_compare``)."""
+        return self
+
+    def __lt__(self, other):
+        if not isinstance(other, Term):
+            return NotImplemented
+        return term_compare(self, other) < 0
+
+    def __le__(self, other):
+        if not isinstance(other, Term):
+            return NotImplemented
+        return term_compare(self, other) <= 0
+
+    def __gt__(self, other):
+        if not isinstance(other, Term):
+            return NotImplemented
+        return term_compare(self, other) > 0
+
+    def __ge__(self, other):
+        if not isinstance(other, Term):
+            return NotImplemented
+        return term_compare(self, other) >= 0
 
 
 def _primitive_root(word: tuple) -> tuple:
@@ -45,20 +99,77 @@ def _primitive_root(word: tuple) -> tuple:
     raise AssertionError("unreachable")
 
 
-@dataclass(frozen=True)
+class _Entry(ref):
+    """A unique table's weak reference to its value, carrying its key."""
+
+    __slots__ = ("key",)
+
+
+class _UniqueTable:
+    """The one live value built for each key, held weakly: an entry leaves
+    the table when its value dies.
+
+    ``weakref.WeakValueDictionary`` does the same, but builds each entry in
+    Python code, which made building a new node about twice as slow.
+    """
+
+    __slots__ = ("entries", "_gone")
+
+    def __init__(self) -> None:
+        entries: dict = {}
+
+        def gone(entry: _Entry) -> None:
+            if entries.get(entry.key) is entry:
+                del entries[entry.key]
+
+        self.entries = entries
+        self._gone = gone
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def get(self, key):
+        entry = self.entries.get(key)
+        return None if entry is None else entry()
+
+    def add(self, key, value) -> None:
+        entry = _Entry(value, self._gone)
+        entry.key = key
+        self.entries[key] = entry
+
+
+# Unique tables.  Keys hold the children themselves, whose equality is
+# identity and whose hash is cached, so a lookup costs the node's own width.
+# A lookup and the insert after a miss happen under one lock, so threads
+# building equal terms at once still get one object.
+_FNODES = _UniqueTable()
+_GNODES = _UniqueTable()
+_STREAMS = _UniqueTable()
+_CONTEXTS = _UniqueTable()
+_TABLES_LOCK = RLock()
+
+
+def _intern_context(ctx: ContextElem) -> ContextElem:
+    key = (ctx.op, ctx.hole, ctx.sides)
+    with _TABLES_LOCK:
+        got = _CONTEXTS.get(key)
+        if got is None:
+            _CONTEXTS.add(key, ctx)
+            got = ctx
+    return got
+
+
 class LassoStream:
     """An ultimately periodic stream of contexts, canonicalized on build.
 
-    Equal streams have equal fields, so dataclass equality is stream
-    equality.
+    Equal streams have equal fields and are the same object.
     """
 
-    prefix: tuple[ContextElem, ...]
-    period: tuple[ContextElem, ...]
+    __slots__ = ("prefix", "period", "_hash", "__weakref__")
 
-    def __post_init__(self):
-        prefix = tuple(self.prefix)
-        period = tuple(self.period)
+    def __new__(cls, prefix, period) -> "LassoStream":
+        prefix = tuple(prefix)
+        period = tuple(period)
         if not period:
             raise TermError("stream period must be nonempty")
         period = _primitive_root(period)
@@ -66,15 +177,26 @@ class LassoStream:
         while prefix and prefix[-1] == period[-1]:
             prefix = prefix[:-1]
             period = period[-1:] + period[:-1]
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "period", period)
+        key = (tuple(map(_intern_context, prefix)), tuple(map(_intern_context, period)))
+        with _TABLES_LOCK:
+            got = _STREAMS.get(key)
+            if got is None:
+                got = object.__new__(cls)
+                _set_prefix(got, key[0])
+                _set_period(got, key[1])
+                _set_lasso_hash(got, hash(key))
+                _STREAMS.add(key, got)
+        return got
 
-    @cached_property
-    def sort_key(self):
-        return (
-            tuple(c.sort_key for c in self.prefix),
-            tuple(c.sort_key for c in self.period),
-        )
+    __hash__ = Term.__hash__
+    __setattr__ = Term.__setattr__
+    __delattr__ = Term.__delattr__
+
+    def __reduce__(self):
+        return LassoStream, (self.prefix, self.period)
+
+    def __repr__(self) -> str:
+        return f"LassoStream(prefix={self.prefix!r}, period={self.period!r})"
 
     def head(self) -> ContextElem:
         return self.prefix[0] if self.prefix else self.period[0]
@@ -94,31 +216,138 @@ class LassoStream:
         return tuple(self.context_at(i) for i in range(n))
 
 
-@dataclass(frozen=True)
 class FNode(Term):
-    elem: FElem
+    """A branching node: one value whose arguments are terms."""
 
-    @cached_property
-    def sort_key(self):
-        return (0, self.elem.sort_key)
+    __slots__ = ("elem",)
+
+    def __new__(cls, elem: FElem) -> "FNode":
+        key = (elem.op, elem.args)
+        with _TABLES_LOCK:
+            node = _FNODES.get(key)
+            if node is None:
+                node = object.__new__(cls)
+                major = minor = size = depth = 0
+                for a in elem.args:
+                    major = max(major, a._major)
+                    minor = max(minor, a._minor)
+                    size += a._size
+                    depth = max(depth, a._depth)
+                _set_elem(node, elem)
+                # hash(key) == hash(elem): this is the dataclass hash of (elem,).
+                _fill(node, hash((key,)), major, minor + 1, size + 1, depth + 1)
+                _FNODES.add(key, node)
+        return node
+
+    def __reduce__(self):
+        return FNode, (self.elem,)
+
+    def __repr__(self) -> str:
+        return f"FNode(elem={self.elem!r})"
 
 
-@dataclass(frozen=True)
 class GNode(Term):
-    stream: LassoStream
+    """A stream node: a lasso of contexts."""
 
-    @cached_property
-    def sort_key(self):
-        return (1, self.stream.sort_key)
+    __slots__ = ("stream",)
+
+    def __new__(cls, stream: LassoStream) -> "GNode":
+        with _TABLES_LOCK:
+            node = _GNODES.get(stream)
+            if node is None:
+                node = object.__new__(cls)
+                major = depth = 0
+                size = 1
+                for ctx in stream.prefix + stream.period:
+                    size += 1
+                    for s in ctx.sides:
+                        major = max(major, s._major)
+                        size += s._size
+                        depth = max(depth, s._depth)
+                _set_stream(node, stream)
+                _fill(node, hash((stream,)), major + 1, 0, size, depth + 1)
+                _GNODES.add(stream, node)
+        return node
+
+    def __reduce__(self):
+        return GNode, (self.stream,)
+
+    def __repr__(self) -> str:
+        return f"GNode(stream={self.stream!r})"
+
+
+# Slot setters: terms and lassos refuse attribute assignment once built.
+_set_prefix = LassoStream.prefix.__set__
+_set_period = LassoStream.period.__set__
+_set_lasso_hash = LassoStream._hash.__set__
+_set_elem = FNode.elem.__set__
+_set_stream = GNode.stream.__set__
+_set_hash = Term._hash.__set__
+_set_major = Term._major.__set__
+_set_minor = Term._minor.__set__
+_set_size = Term._size.__set__
+_set_depth = Term._depth.__set__
+
+
+def _fill(node: Term, h: int, major: int, minor: int, size: int, depth: int) -> None:
+    _set_hash(node, h)
+    _set_major(node, major)
+    _set_minor(node, minor)
+    _set_size(node, size)
+    _set_depth(node, depth)
+
+
+def _lasso_divergence(sa: LassoStream, sb: LassoStream) -> tuple[int, tuple, tuple]:
+    """Where two lassos first differ, prefix before period.
+
+    Either a verdict (-1 or 1) with empty sides, or 0 with the side tuples of
+    the first unequal contexts that share op and hole.  Equal lassos give 0
+    with empty sides.
+    """
+    for xs, ys in ((sa.prefix, sb.prefix), (sa.period, sb.period)):
+        for ca, cb in zip(xs, ys):
+            if ca is not cb and ca != cb:
+                if ca.op != cb.op:
+                    return (-1 if ca.op < cb.op else 1), (), ()
+                if ca.hole != cb.hole:
+                    return (-1 if ca.hole < cb.hole else 1), (), ()
+                return 0, ca.sides, cb.sides
+        if len(xs) != len(ys):
+            return (-1 if len(xs) < len(ys) else 1), (), ()
+    return 0, (), ()
 
 
 def term_compare(a: Term, b: Term) -> int:
-    """Total order: FNode before GNode, then op id, then arguments."""
-    ka, kb = a.sort_key, b.sort_key
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
+    """Total order: FNode before GNode, then op id, then arguments.
+
+    The order compares the nested key ``(0, (op, arg keys))`` of a branching
+    node and ``(1, (prefix keys, period keys))`` of a stream node, where a
+    context's key is ``(op, hole, side keys)``, as tuples.  Only the first
+    differing pair of subterms decides, so the walk descends one pair at a
+    time and needs no stack.
+    """
+    while a is not b:
+        if isinstance(a, FNode):
+            if not isinstance(b, FNode):
+                return -1
+            ea, eb = a.elem, b.elem
+            if ea.op != eb.op:
+                return -1 if ea.op < eb.op else 1
+            xs, ys = ea.args, eb.args
+        elif isinstance(b, FNode):
+            return 1
+        else:
+            verdict, xs, ys = _lasso_divergence(a.stream, b.stream)
+            if verdict:
+                return verdict
+        for x, y in zip(xs, ys):
+            if x is not y and x != y:
+                break
+        else:
+            return (len(xs) > len(ys)) - (len(xs) < len(ys))
+        if not (isinstance(x, Term) and isinstance(y, Term)):
+            return -1 if x < y else 1
+        a, b = x, y
     return 0
 
 
@@ -141,34 +370,17 @@ class Rank:
 
 def rank(t: Term) -> Rank:
     """Lexicographic rank; finite for every finitary term."""
-    memo: dict[Term, Rank] = {}
-
-    def go(u: Term) -> Rank:
-        r = memo.get(u)
-        if r is not None:
-            return r
-        subs = [go(v) for v in subterms(u)]
-        if isinstance(u, FNode):
-            major = max((s.major for s in subs), default=0)
-            minor = 1 + max((s.minor for s in subs), default=0)
-        else:
-            major = 1 + max((s.major for s in subs), default=0)
-            minor = 0
-        r = Rank(major, minor)
-        memo[u] = r
-        return r
-
-    return go(t)
+    return Rank(t._major, t._minor)
 
 
 def term_size(t: Term) -> int:
     """Node count: one per FNode, one per context of a GNode, recursively."""
-    if isinstance(t, FNode):
-        return 1 + sum(term_size(c) for c in t.elem.args)
-    total = 1
-    for ctx in t.stream.prefix + t.stream.period:
-        total += 1 + sum(term_size(s) for s in ctx.sides)
-    return total
+    return t._size
+
+
+def term_depth(t: Term) -> int:
+    """Nesting depth: one per term node on the longest root-to-leaf chain."""
+    return t._depth
 
 
 # -- coherence rewrites ---------------------------------------------------
@@ -199,24 +411,28 @@ def fold_candidates(sig: SignatureSpec, f: FNode) -> list[GNode]:
 
 Path = tuple
 
+
 def positions(t: Term) -> Iterator[tuple[Path, Term]]:
     """Every node of ``t`` with its access path, root first.
 
     Path steps are ("f", i) into argument i of an FNode and
     ("g", n, j) into side j of context n of a GNode lasso (prefix first,
-    then period).
+    then period).  Depth first, children in order.
     """
-    yield (), t
-    if isinstance(t, FNode):
-        for i, c in enumerate(t.elem.args):
-            for p, u in positions(c):
-                yield (("f", i),) + p, u
-    else:
-        ctxs = t.stream.prefix + t.stream.period
-        for n, ctx in enumerate(ctxs):
-            for j, s in enumerate(ctx.sides):
-                for p, u in positions(s):
-                    yield (("g", n, j),) + p, u
+    stack: list[tuple[Path, Term]] = [((), t)]
+    while stack:
+        path, u = stack.pop()
+        yield path, u
+        if isinstance(u, FNode):
+            kids = [(path + (("f", i),), c) for i, c in enumerate(u.elem.args)]
+        else:
+            ctxs = u.stream.prefix + u.stream.period
+            kids = [
+                (path + (("g", n, j),), s)
+                for n, ctx in enumerate(ctxs)
+                for j, s in enumerate(ctx.sides)
+            ]
+        stack.extend(reversed(kids))
 
 
 def replace_at(sig: SignatureSpec, t: Term, path: Path, new: Term) -> Term:
@@ -225,26 +441,33 @@ def replace_at(sig: SignatureSpec, t: Term, path: Path, new: Term) -> Term:
     Containers re-canonicalize on the way up, so the path must address the
     canonical layout of ``t`` (as produced by ``positions``).
     """
-    if not path:
-        return new
-    step, rest = path[0], path[1:]
-    if step[0] == "f":
-        if not isinstance(t, FNode):
-            raise TermError("path step 'f' into a stream node")
-        _, i = step
-        args = list(t.elem.args)
-        args[i] = replace_at(sig, args[i], rest, new)
-        return FNode(sig.canonical_tuple(t.elem.op, args))
-    _, n, j = step
-    if not isinstance(t, GNode):
-        raise TermError("path step 'g' into a branching node")
-    ctxs = list(t.stream.prefix + t.stream.period)
-    ctx = ctxs[n]
-    sides = list(ctx.sides)
-    sides[j] = replace_at(sig, sides[j], rest, new)
-    ctxs[n] = sig.canonical_context(ctx.op, ctx.hole, sides)
-    cut = len(t.stream.prefix)
-    return GNode(LassoStream(tuple(ctxs[:cut]), tuple(ctxs[cut:])))
+    spine: list[Term] = []
+    for step in path:
+        spine.append(t)
+        if step[0] == "f":
+            if not isinstance(t, FNode):
+                raise TermError("path step 'f' into a stream node")
+            t = t.elem.args[step[1]]
+        else:
+            if not isinstance(t, GNode):
+                raise TermError("path step 'g' into a branching node")
+            _, n, j = step
+            t = (t.stream.prefix + t.stream.period)[n].sides[j]
+    for step, u in zip(reversed(path), reversed(spine)):
+        if step[0] == "f":
+            args = list(u.elem.args)
+            args[step[1]] = new
+            new = FNode(sig.canonical_tuple(u.elem.op, args))
+            continue
+        _, n, j = step
+        ctxs = list(u.stream.prefix + u.stream.period)
+        ctx = ctxs[n]
+        sides = list(ctx.sides)
+        sides[j] = new
+        ctxs[n] = sig.canonical_context(ctx.op, ctx.hole, sides)
+        cut = len(u.stream.prefix)
+        new = GNode(LassoStream(tuple(ctxs[:cut]), tuple(ctxs[cut:])))
+    return new
 
 
 def rewrite_actions(sig: SignatureSpec, t: Term) -> list[tuple[Path, str, int]]:

@@ -53,43 +53,58 @@ def assert_polynomial(sig: SignatureSpec) -> None:
         raise SignatureError("operation groups must be trivial for tree encoding")
 
 
+def _layout(sig: SignatureSpec, u: Term, d: int) -> tuple[set[Word], list]:
+    """The words ``u`` contributes itself at depth ``d``, and the (prefix,
+    subterm, depth) pieces whose trees hang below them."""
+    words: set[Word] = {()}
+    glue: list[tuple[Word, Term, int]] = []
+    if isinstance(u, FNode):
+        if d > 0:
+            glue = [((i,), child, d - 1) for i, child in enumerate(u.elem.args)]
+        return words, glue
+    spine: Word = ()
+    for n in range(d + 1):
+        ctx = u.stream.context_at(n)
+        words.add(spine)
+        budget = d - n - 1
+        if budget >= 0:
+            side_iter = iter(ctx.sides)
+            for pos in range(sig.arity(ctx.op)):
+                if pos != ctx.hole:
+                    glue.append((spine + (pos,), next(side_iter), budget))
+        spine = spine + (ctx.hole,)
+    return words, glue
+
+
 def enc(sig: SignatureSpec, t: Term, depth: int) -> WordTree:
-    """The position-word tree of ``t``, truncated at ``depth``."""
+    """The position-word tree of ``t``, truncated at ``depth``.
+
+    Trees of (subterm, depth) pairs are memoized and built on an explicit
+    stack, each once the trees of its pieces are known.
+    """
     assert_polynomial(sig)
     memo: dict[tuple[Term, int], frozenset[Word]] = {}
-
-    def go(u: Term, d: int) -> frozenset[Word]:
-        key = (u, d)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        words: set[Word] = {()}
-        if isinstance(u, FNode):
-            if d > 0:
-                for i, child in enumerate(u.elem.args):
-                    for w in go(child, d - 1):
-                        words.add((i,) + w)
-        else:
-            spine: Word = ()
-            for n in range(d + 1):
-                ctx = u.stream.context_at(n)
-                words.add(spine)
-                budget = d - n - 1
-                if budget >= 0:
-                    arity = sig.arity(ctx.op)
-                    side_iter = iter(ctx.sides)
-                    for pos in range(arity):
-                        if pos == ctx.hole:
-                            continue
-                        side = next(side_iter)
-                        for w in go(side, budget):
-                            words.add(spine + (pos,) + w)
-                spine = spine + (ctx.hole,)
-        out = frozenset(words)
-        memo[key] = out
-        return out
-
-    return WordTree(depth, go(t, depth))
+    layouts: dict[tuple[Term, int], tuple[set[Word], list]] = {}
+    stack = [(t, depth)]
+    while stack:
+        key = stack[-1]
+        if key in memo:
+            stack.pop()
+            continue
+        layout = layouts.get(key)
+        if layout is None:
+            layout = layouts[key] = _layout(sig, *key)
+        words, glue = layout
+        missing = [(v, b) for _, v, b in glue if (v, b) not in memo]
+        if missing:
+            stack.extend(missing)
+            continue
+        for w, v, b in glue:
+            words.update(w + x for x in memo[v, b])
+        memo[key] = frozenset(words)
+        del layouts[key]
+        stack.pop()
+    return WordTree(depth, memo[t, depth])
 
 
 def dom_tree(sig: SignatureSpec, t: Term, depth: int) -> WordTree:

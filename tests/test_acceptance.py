@@ -40,9 +40,11 @@ from thincoalg.generate import gen_coalgebra, rand_term
 from thincoalg.terms import random_rewrite
 
 
-def _report(num, name, ok):
+def _report(num, name, ok, detail=""):
     print(f"criterion {num} ({name}): {'PASS' if ok else 'FAIL'}")
-    assert ok
+    if detail:
+        print(detail)
+    assert ok, detail
 
 
 def test_criterion_1_fixture_verdicts(server_pc, bag_ss, full_binary):
@@ -276,6 +278,7 @@ def test_criterion_10_near_linear_thinness_check():
     sizes = (100_000, 200_000)
     budgets = (2.0, 5.0)
     ratios = []
+    lines = []
     ok = True
     for seed in (1, 2, 3, 7, 11):
         best = []
@@ -297,6 +300,12 @@ def test_criterion_10_near_linear_thinness_check():
                 ok = False
         del pc
         ratios.append(best[1] / best[0])
-    if statistics.median(ratios) > 2.5:
+        lines.append(
+            f"seed {seed}: best {best[0]:.3f} s at {sizes[0]} (budget {budgets[0]} s), "
+            f"{best[1]:.3f} s at {sizes[1]} (budget {budgets[1]} s), ratio {ratios[-1]:.2f}"
+        )
+    median = statistics.median(ratios)
+    if median > 2.5:
         ok = False
-    _report(10, "near-linear thinness check", ok)
+    lines.append(f"median {sizes[1]}/{sizes[0]} ratio {median:.2f} (bound 2.5)")
+    _report(10, "near-linear thinness check", ok, "\n".join(lines))

@@ -147,6 +147,26 @@ def test_signature_equality_is_semantic():
     assert a != c
 
 
+def test_signature_equality_key_and_hash_are_built_with_the_signature():
+    s8 = ((1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 0))
+    a = SignatureSpec([OperationSymbol("z", 0), OperationSymbol("s", 8, s8)])
+    b = SignatureSpec([OperationSymbol("z", 0), OperationSymbol("s", 8, s8[::-1])])
+    c = SignatureSpec([OperationSymbol("z", 0), OperationSymbol("s", 8, s8[:1])])
+    want = hash(a)
+    # Neither == nor hash reads the groups again once the signature is built.
+    for sig in (a, b, c):
+        sig._groups = None
+    assert a == a and a == b and b == a and a != c
+    assert hash(a) == hash(b) == want
+    # Same object: equal at once, without looking at the key.
+    class Untouchable:
+        def __eq__(self, other):
+            raise AssertionError("compared the equality key")
+
+    a._eq_key = Untouchable()
+    assert a == a
+
+
 def test_unknown_operation_raises(sig_poly):
     with pytest.raises(SignatureError):
         sig_poly.op("nope")
