@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable
 
 from .errors import CoalgebraError
@@ -39,6 +41,23 @@ class Coalgebra:
             for t in elem.args:
                 if not isinstance(t, int) or not 0 <= t < n:
                     raise CoalgebraError(f"state {s}: successor {t!r} out of range")
+
+    @classmethod
+    def _of_canonical(cls, sig: SignatureSpec, transition: tuple[FElem, ...]) -> "Coalgebra":
+        """A coalgebra over elements ``sig.canonical_tuple`` built from integer
+        arguments, so that only the successor range is left to check.
+
+        Input with a successor out of range goes through the full
+        constructor, which raises the same first error as always.
+        """
+        n = len(transition)
+        succ = list(chain.from_iterable(map(attrgetter("args"), transition)))
+        if succ and not (0 <= min(succ) and max(succ) < n):
+            return cls(sig, transition)
+        c = object.__new__(cls)
+        object.__setattr__(c, "sig", sig)
+        object.__setattr__(c, "transition", transition)
+        return c
 
     @property
     def n_states(self) -> int:
@@ -129,24 +148,33 @@ def paths_to_depth(pc: PointedCoalgebra, depth: int) -> list[FinitePath]:
     """All paths of length exactly ``depth`` from the root, lexicographically.
 
     A path stops early only when a state has no successors, in which case it
-    does not reach ``depth`` and is not listed.
+    does not reach ``depth`` and is not listed; no path has negative length.
+    The walk is depth first on an explicit stack holding one step iterator
+    per state of the current prefix, so ``depth`` is not bounded by the
+    recursion limit.
     """
+    if depth <= 0:
+        return [FinitePath((pc.root,), ())] if depth == 0 else []
     c = pc.coalg
     out: list[FinitePath] = []
     steps = [_step_pairs(c, s) for s in range(c.n_states)]
-
-    def walk(state: int, states: list[int], indices: list[int]) -> None:
-        if len(indices) == depth:
-            out.append(FinitePath(tuple(states), tuple(indices)))
-            return
-        for k, t in steps[state]:
+    states, indices = [pc.root], []
+    stack = [iter(steps[pc.root])]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if indices:
+                states.pop()
+                indices.pop()
+            continue
+        k, t = step
+        if len(indices) + 1 == depth:
+            out.append(FinitePath((*states, t), (*indices, k)))
+        else:
             states.append(t)
             indices.append(k)
-            walk(t, states, indices)
-            states.pop()
-            indices.pop()
-
-    walk(pc.root, [pc.root], [])
+            stack.append(iter(steps[t]))
     return out
 
 

@@ -16,9 +16,18 @@ offender.  Its consumers fold over that result instead of searching again:
 census) folds path counts over it, and, through the ``_require_thin`` guard,
 ``normalform.state_ranks`` and ``treeenc.cb_rank`` fold ranks over it while
 ``normalform.extract_normal`` checks its input with it.  All of it runs in
-time linear in states plus edges.  ``oracle_is_thin`` is the definitional
-cross-check: enumerate bounded cycles through every state and test pairwise
-prefix-comparability.
+time linear in states plus edges.
+
+The witness is a shortest access path from the root to the offender and two
+cycles through it, each closed along a shortest in-component route back.  Both
+come from BFS trees that stop as soon as the states they need are reached:
+the access search at the offender, the reverse search (over per-target source
+lists filled in one pass over the component) at the offender's two
+in-component successors.  A BFS never reassigns a parent, so the stops change
+how much is searched, never which path is returned.
+
+``oracle_is_thin`` is the definitional cross-check: enumerate bounded cycles
+through every state and test pairwise prefix-comparability.
 """
 
 from __future__ import annotations
@@ -55,25 +64,29 @@ class ThinVerdict:
     witness: Optional[ThinWitness] = None
 
 
-def _bfs_tree(offs: array, flat: array, source: int, n: int) -> array:
-    """Complete BFS parent array from ``source``; -1 marks unreached states.
+def _bfs_until(nbrs, source: int, n: int, targets) -> list[int]:
+    """BFS parent list from ``source``, stopped once every target is reached.
 
-    The tree is fully built rather than stopped at any target, so the work
-    done is a fixed function of the graph, not of where a target happens to
-    sit.
+    ``nbrs(s)`` lists the neighbours of ``s`` in search order; -1 marks
+    states not reached before the stop.  A parent is never reassigned, so
+    each path the list holds is the one a complete BFS tree would hold.
     """
-    par = array("l", [-1]) * n
+    par = [-1] * n
     par[source] = source
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for i in range(offs[s], offs[s + 1]):
-                t = flat[i]
-                if par[t] == -1:
-                    par[t] = s
-                    nxt.append(t)
-        frontier = nxt
+    pending = set(targets)
+    pending.discard(source)
+    if not pending:
+        return par
+    queue = [source]
+    for s in queue:
+        for t in nbrs(s):
+            if par[t] == -1:
+                par[t] = s
+                queue.append(t)
+                if t in pending:
+                    pending.remove(t)
+                    if not pending:
+                        return par
     return par
 
 
@@ -100,41 +113,23 @@ def _witness(
     in_pairs = [p for p in c.successors(offender) if mem[p[0]]]
     (t1, k1), (t2, k2) = in_pairs[0], in_pairs[1]
 
-    access_par = _bfs_tree(offs, flat, root, n)
-    access = _walk(access_par, root, offender)
+    # A shortest path from the root, by a forward BFS stopped at the offender.
+    def forward(s: int):
+        return flat[offs[s] : offs[s + 1]]
 
-    # Shortest in-component route from every member back to the offender, via
-    # one reverse BFS tree over the component's internal edges.  The reverse
-    # adjacency reuses the offset/flat layout to keep the pass cheap on large
-    # components.
-    roffs = array("l", [0]) * (n + 1)
+    access = _walk(_bfs_until(forward, root, n, (offender,)), root, offender)
+
+    # Shortest in-component routes from t1 and t2 back to the offender: a
+    # reverse BFS over the component's internal edges, stopped once both are
+    # reached.  One pass over the members in order fills a source list per
+    # target, so each list holds its sources in member order.  Edges leaving
+    # the component land in lists the search never reads: it starts inside
+    # the component and every source it meets is a member.
+    rev: list[list[int]] = [[] for _ in range(n)]
     for s in comp_members:
-        for i in range(offs[s], offs[s + 1]):
-            t = flat[i]
-            if mem[t]:
-                roffs[t + 1] += 1
-    for i in range(n):
-        roffs[i + 1] += roffs[i]
-    cursor = roffs[:-1]
-    rflat = array("l", [0]) * roffs[n]
-    for s in comp_members:
-        for i in range(offs[s], offs[s + 1]):
-            t = flat[i]
-            if mem[t]:
-                rflat[cursor[t]] = s
-                cursor[t] += 1
-    back = array("l", [-1]) * n
-    back[offender] = offender
-    frontier = [offender]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for i in range(roffs[s], roffs[s + 1]):
-                t = rflat[i]
-                if back[t] == -1:
-                    back[t] = s
-                    nxt.append(t)
-        frontier = nxt
+        for t in flat[offs[s] : offs[s + 1]]:
+            rev[t].append(s)
+    back = _bfs_until(rev.__getitem__, offender, n, (t1, t2))
 
     def close(t: int, k: int) -> FinitePath:
         states = _walk(back, offender, t)[::-1]

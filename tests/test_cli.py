@@ -11,6 +11,7 @@ import pytest
 from referencing import Registry, Resource
 
 from conftest import build
+from thincoalg import cli
 from thincoalg.files import (
     dump_coalgebra,
     dump_json,
@@ -199,6 +200,18 @@ def test_paths_output(files):
         run("paths", str(files["poly_sig"]), str(files["uloop"]), "--depth", "3", "--json")
     )
     assert report["result"]["count"] == 1
+
+
+def test_paths_deeper_than_the_recursion_limit(files, capsys):
+    # One u-loop has exactly one path at every depth, however deep.
+    depth = 2000
+    assert sys.getrecursionlimit() < depth
+    code = cli.main(
+        ["paths", str(files["poly_sig"]), str(files["uloop"]), "--depth", str(depth)]
+    )
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [f"1 paths at depth {depth}", " ".join(["0"] * (2 * depth + 1))]
 
 
 def test_rank_output(files):

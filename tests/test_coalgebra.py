@@ -125,6 +125,13 @@ def test_paths_come_out_sorted(server_pc, bag_tree):
             assert keys == sorted(keys)
 
 
+def test_paths_have_no_negative_length(u_loop, bag_ss):
+    # the walk must not start on a cycle looking for a length it never meets
+    assert paths_to_depth(u_loop, -1) == []
+    assert paths_to_depth(bag_ss, -3) == []
+    assert [p.states for p in paths_to_depth(u_loop, 0)] == [(0,)]
+
+
 def test_path_count_matches_enumeration(sig_bag, sig_server):
     rng = random.Random(4021)
     for sig in (sig_bag, sig_server):

@@ -1,15 +1,25 @@
 """Thinness verdicts, witnesses, and the infinite-path census."""
 
 import random
+from array import array
 
 import pytest
 
 from conftest import all_coalgebras, build
-from thincoalg import NonThinError, PointedCoalgebra, coalgebra, thinness
-from thincoalg.coalgebra import minimize, reachable_states, validate_path
+from thincoalg import (
+    NonThinError,
+    OperationSymbol,
+    PointedCoalgebra,
+    SignatureSpec,
+    coalgebra,
+    thinness,
+)
+from thincoalg.coalgebra import FinitePath, minimize, reachable_states, validate_path
+from thincoalg.generate import gen_coalgebra
 from thincoalg.normalform import extract_normal, state_ranks
 from thincoalg.thinness import (
     PathClassCount,
+    ThinWitness,
     count_infinite_paths_class,
     is_thin,
     oracle_is_thin,
@@ -259,3 +269,146 @@ def test_each_consumer_searches_components_once(monkeypatch, sig_poly):
         calls.clear()
         consumer(pc)
         assert len(calls) == want, consumer.__name__
+
+
+# -- the witness against its reference construction ------------------------
+
+
+def _full_bfs_tree(offs, flat, source, n):
+    par = array("l", [-1]) * n
+    par[source] = source
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for i in range(offs[s], offs[s + 1]):
+                t = flat[i]
+                if par[t] == -1:
+                    par[t] = s
+                    nxt.append(t)
+        frontier = nxt
+    return par
+
+
+def _tree_path(par, source, target):
+    states = [target]
+    while states[-1] != source:
+        states.append(par[states[-1]])
+    return tuple(reversed(states))
+
+
+def _reference_witness(c, offs, flat, root, offender, comp_members):
+    """The witness built without early stops: complete BFS trees from the
+    root and, over an offset/flat reverse adjacency of the component's
+    internal edges filled by counting and scattering, from the offender."""
+    n = c.n_states
+    mem = bytearray(n)
+    for s in comp_members:
+        mem[s] = 1
+    in_pairs = [p for p in c.successors(offender) if mem[p[0]]]
+    (t1, k1), (t2, k2) = in_pairs[0], in_pairs[1]
+    access = _tree_path(_full_bfs_tree(offs, flat, root, n), root, offender)
+
+    roffs = array("l", [0]) * (n + 1)
+    for s in comp_members:
+        for i in range(offs[s], offs[s + 1]):
+            if mem[flat[i]]:
+                roffs[flat[i] + 1] += 1
+    for i in range(n):
+        roffs[i + 1] += roffs[i]
+    cursor = roffs[:-1]
+    rflat = array("l", [0]) * roffs[n]
+    for s in comp_members:
+        for i in range(offs[s], offs[s + 1]):
+            t = flat[i]
+            if mem[t]:
+                rflat[cursor[t]] = s
+                cursor[t] += 1
+    back = _full_bfs_tree(roffs, rflat, offender, n)
+
+    def close(t, k):
+        states = _tree_path(back, offender, t)[::-1]
+        return FinitePath((offender, *states), (k,) + (0,) * (len(states) - 1))
+
+    return ThinWitness(
+        FinitePath(access, (0,) * (len(access) - 1)), close(t1, k1), close(t2, k2)
+    )
+
+
+def _assert_reference_witness(pc):
+    """Check ``is_thin``'s witness against the reference; True if non-thin."""
+    verdict = is_thin(pc)
+    offs, flat, comps, _, _, offender = thinness._thin_components(pc)
+    if offender is None:
+        assert verdict.thin
+        return False
+    s, ci = offender
+    want = _reference_witness(pc.coalg, offs, flat, pc.root, s, comps[ci])
+    assert verdict.witness == want
+    return True
+
+
+@pytest.mark.parametrize("name", ["sig_poly", "sig_bag", "sig_server"])
+def test_witness_matches_reference_exhaustively(name, request):
+    sig = request.getfixturevalue(name)
+    seen = 0
+    for n in range(1, 4):
+        for c in all_coalgebras(sig, n):
+            for root in range(n):
+                seen += _assert_reference_witness(PointedCoalgebra(c, root))
+    assert seen > 0
+
+
+def _rigid_sig():
+    # The criterion-10 family: arities 1..5, mean out-degree 3.
+    return SignatureSpec([OperationSymbol(f"k{a}", a) for a in range(1, 6)])
+
+
+def test_witness_matches_reference_on_random_rigid_systems():
+    sig = _rigid_sig()
+    rng = random.Random(4242)
+    seen = 0
+    for _ in range(200):
+        n = rng.randrange(50, 5001)
+        pc = gen_coalgebra(sig, n, rng.randrange(2**31), root=rng.randrange(n))
+        seen += _assert_reference_witness(pc)
+    assert seen > 150
+
+
+@pytest.mark.slow
+def test_witness_matches_reference_at_criterion_10_scale():
+    pc = gen_coalgebra(_rigid_sig(), 100_000, 1)
+    assert _assert_reference_witness(pc)
+
+
+def test_witness_matches_reference_on_constructed_cases(sig_poly, full_binary, bag_tree):
+    chain = 12
+    # A chain whose every state also branches to a leaf; its last state
+    # steps back to the two before it, so it is the offender and the
+    # farthest state from the root.
+    far = [("b", (i + 1, chain + 1)) for i in range(chain)]
+    far += [("b", (chain - 1, chain - 2)), ("c", ())]
+    cases = {
+        "root is the offender": (build(sig_poly, [("b", (1, 2)), ("u", (0,)), ("u", (0,))]), 0),
+        "doubled self-loop at the root": (full_binary, 0),
+        "offender on a self-loop": (
+            build(sig_poly, [("b", (0, 1)), ("u", (0,)), ("u", (0,))], root=2), 0
+        ),
+        "doubled in-component successor": (
+            build(sig_poly, [("u", (1,)), ("b", (2, 2)), ("u", (1,))]), 1
+        ),
+        "offender farthest from the root": (build(sig_poly, far), chain),
+        "unordered pairs": (bag_tree, None),
+    }
+    for label, (pc, offender) in cases.items():
+        assert _assert_reference_witness(pc), label
+        got = is_thin(pc).witness.access.states[-1]
+        assert offender is None or got == offender, label
+    # No shortest path from the root is longer than the access path there.
+    pc = cases["offender farthest from the root"][0]
+    depth, frontier, seen = 0, [pc.root], {pc.root}
+    while frontier:
+        frontier = [t for s in frontier for t in pc.coalg.transition[s].args if t not in seen]
+        seen.update(frontier)
+        depth += bool(frontier)
+    assert is_thin(pc).witness.access.length == depth == chain
