@@ -9,7 +9,7 @@ time), behavioural minimization by worklist partition refinement (only the
 predecessors of states that changed block are re-signed, O(m log n)
 signings), behavioural equality on the disjoint union, and an
 isomorphism-invariant canonical key used to fingerprint behaviours.
-Refinement block ids are arbitrary; callers use only the partition.
+Refinement block ids depend only on structure, never on state numbering.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CoalgebraError
 from .signature import FElem, SignatureSpec
@@ -191,29 +191,32 @@ def path_count(pc: PointedCoalgebra, depth: int) -> int:
     return sum(counts.values())
 
 
-def cycles_through(c: Coalgebra, state: int, maxlen: int) -> list[FinitePath]:
-    """All paths from ``state`` back to ``state`` of length 1..maxlen.
-
-    Exhaustive enumeration, exponential in ``maxlen``; intended for the
-    brute-force thinness oracle on small instances.
+def cycles_through(c: Coalgebra, state: int, maxlen: int) -> Iterator[FinitePath]:
+    """All paths from ``state`` back to ``state`` of length 1..maxlen, in
+    ``flat_key`` order.  A step is taken only when the distance back (from a
+    backward BFS, layer by layer) fits the remaining length, so every prefix
+    walked extends to a cycle.  Exponential; meant for the thinness oracle.
     """
-    steps = {s: _step_pairs(c, s) for s in range(c.n_states)}
-    out: list[FinitePath] = []
-
-    def walk(cur: int, states: list[int], indices: list[int]) -> None:
-        if len(indices) == maxlen:
-            return
-        for k, t in steps[cur]:
-            states.append(t)
-            indices.append(k)
-            if t == state:
-                out.append(FinitePath(tuple(states), tuple(indices)))
-            walk(t, states, indices)
-            states.pop()
-            indices.pop()
-
-    walk(state, [state], [])
-    return out
+    dist = {state: 0}
+    for d in range(1, c.n_states):
+        for s, elem in enumerate(c.transition):
+            if s not in dist and any(dist.get(t) == d - 1 for t in elem.args):
+                dist[s] = d
+    stack = [((state,), (), iter(_step_pairs(c, state)))]
+    while stack:
+        states, indices, steps = stack[-1]
+        length = len(indices) + 1
+        for k, t in steps:
+            if length + dist.get(t, maxlen) <= maxlen:
+                break
+        else:
+            stack.pop()
+            continue
+        path = ((*states, t), (*indices, k))
+        if t == state:
+            yield FinitePath(*path)
+        if length < maxlen:
+            stack.append((*path, iter(_step_pairs(c, t))))
 
 
 @dataclass(frozen=True)
@@ -327,7 +330,7 @@ def reachable_condensation(pc: PointedCoalgebra) -> Condensation:
 # -- behavioural equivalence ---------------------------------------------
 
 
-def _refine(c: Coalgebra, states: list[int]) -> dict[int, int]:
+def _refine(c: Coalgebra, states: Sequence[int]) -> dict[int, int]:
     """Partition ``states`` by behavioural equivalence.
 
     ``states`` must be closed under successors.  Worklist refinement in the
@@ -347,7 +350,10 @@ def _refine(c: Coalgebra, states: list[int]) -> dict[int, int]:
     only moves into a part at most half its block's size, so each state is
     re-signed O(log n) times per successor edge, O(m log n) signings in all.
 
-    Block ids are arbitrary; only the partition they induce is meaningful.
+    Block ids depend only on structure, as ``canonical_key`` needs: touched
+    blocks split in id order, parts in key order with the untouched rest
+    last, and the largest part keeps the id, ties to the rest, then to the
+    least key.
     """
     sig = c.sig
     tr = c.transition
@@ -366,8 +372,8 @@ def _refine(c: Coalgebra, states: list[int]) -> dict[int, int]:
             elem = sig.map_elem(tr[s], lookup)
             touched.setdefault(block[s], {}).setdefault((elem.op, elem.args), set()).add(s)
         moved: list[int] = []
-        for b, by_key in touched.items():
-            parts = list(by_key.values())
+        for b, by_key in sorted(touched.items()):
+            parts = [p for _, p in sorted(by_key.items())]
             rest = members[b]
             rest_size = len(rest) - sum(map(len, parts))
             if rest_size == 0 and len(parts) == 1:
@@ -460,32 +466,19 @@ def beh_equal(pc1: PointedCoalgebra, pc2: PointedCoalgebra) -> bool:
 def canonical_key(pc: PointedCoalgebra):
     """A hashable key equal for exactly the behaviourally equal roots.
 
-    Minimizes, then orders the quotient states by their refinement history,
-    which distinguishes all states of a minimal coalgebra and depends only on
-    the structure, never on state numbering.
+    Minimizes, then refines the quotient, whose blocks all end singletons
+    with ids fixed by structure: the root's id and one row per state in id
+    order.  Minimizing first matters, since which part keeps a block id
+    depends on part sizes, which differ between equal systems.
     """
     mpc, _ = minimize(pc)
     c = mpc.coalg
     n = c.n_states
-    sig = c.sig
-    color = [0] * n
-    ncolors = 1
-    while True:
-        keys = []
-        for s in range(n):
-            elem = sig.map_elem(c.transition[s], lambda t: color[t])
-            keys.append((color[s], elem.op, elem.args))
-        ids = {key: i for i, key in enumerate(sorted(set(keys)))}
-        color = [ids[k] for k in keys]
-        if len(ids) == ncolors:
-            break
-        ncolors = len(ids)
-    if ncolors != n:
+    block = _refine(c, range(n))
+    if len(set(block.values())) != n:
         raise CoalgebraError("internal: minimal coalgebra with equivalent states")
-    order = sorted(range(n), key=lambda s: color[s])
-    renum = {s: i for i, s in enumerate(order)}
-    rows = []
-    for s in order:
-        elem = sig.map_elem(c.transition[s], lambda t: renum[t])
-        rows.append((elem.op, elem.args))
-    return (renum[mpc.root], tuple(rows))
+    rows = [None] * n
+    for s in range(n):
+        elem = c.sig.map_elem(c.transition[s], block.__getitem__)
+        rows[block[s]] = (elem.op, elem.args)
+    return (block[mpc.root], tuple(rows))

@@ -204,16 +204,17 @@ def oracle_is_thin(pc: PointedCoalgebra, maxlen: int) -> bool:
 
     Exact when ``maxlen >= 2 * n_states``: an incomparable pair, when one
     exists, exists already among cycles no longer than twice the state count.
-    Exponential; meant for exhaustive small-instance comparison.
+    The first incomparable pair answers, so the cycles kept form a prefix
+    chain of at most ``maxlen``; as every prefix ``cycles_through`` walks
+    extends to a cycle, the work is polynomial in ``maxlen`` and out-degree.
     """
     c = pc.coalg
     for s in reachable_states(c, pc.root):
-        cycles = cycles_through(c, s, maxlen)
-        for i in range(len(cycles)):
-            for j in range(i + 1, len(cycles)):
-                a, b = cycles[i], cycles[j]
-                if not (a.is_prefix_of(b) or b.is_prefix_of(a)):
-                    return False
+        kept: list[FinitePath] = []
+        for a in cycles_through(c, s, maxlen):
+            if not all(a.is_prefix_of(b) or b.is_prefix_of(a) for b in kept):
+                return False
+            kept.append(a)
     return True
 
 

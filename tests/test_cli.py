@@ -23,7 +23,7 @@ from thincoalg.signature import SignatureSpec
 from thincoalg.terms import FNode, GNode, LassoStream, unfold_step
 
 
-def run(*argv, env=None):
+def run(*argv, env=None, timeout=None):
     e = dict(os.environ)
     e.update(env or {})
     return subprocess.run(
@@ -31,6 +31,7 @@ def run(*argv, env=None):
         capture_output=True,
         text=True,
         env=e,
+        timeout=timeout,
     )
 
 
@@ -177,6 +178,22 @@ def test_check_thin_oracle(files, tmp_path):
     proc = run("check-thin", str(files["bag_sig"]), str(big), "--oracle")
     assert proc.returncode == 2
     assert "limited" in proc.stderr
+
+
+def test_check_thin_oracle_on_branchy_input(tmp_path):
+    # Eight states over rigid ops of arity 1..5 carry too many cycles of
+    # length up to 16 to list; the oracle stops at the first incomparable pair.
+    sig = tmp_path / "rigid.sig.json"
+    sig.write_text(
+        json.dumps({"ops": [{"id": f"a{k}", "arity": k} for k in range(1, 6)]}),
+        encoding="utf-8",
+    )
+    coalg = tmp_path / "branchy.coalg.json"
+    args = ("--size", "8", "--seed", "0", "-o", str(coalg))
+    assert run("gen", "coalgebra", "--sig", str(sig), *args).returncode == 0
+    proc = run("check-thin", str(sig), str(coalg), "--oracle", timeout=20)
+    assert proc.returncode == 1
+    assert proc.stdout.endswith("oracle agrees: yes\n")
 
 
 def test_check_thin_report_carries_witness(files):

@@ -29,6 +29,7 @@ from thincoalg.coalgebra import (
     sccs,
     validate_path,
 )
+from thincoalg.thinness import oracle_is_thin
 
 
 def _rand_pc(rng, sig, n):
@@ -147,9 +148,52 @@ def test_cycle_enumeration(bag_ss, u_loop, server_pc):
     got = [(p.states, p.indices) for p in cycles_through(bag_ss.coalg, 0, 1)]
     assert got == [((0, 0), (0,)), ((0, 0), (1,))]
     # two direct returns plus four of length two
-    assert len(cycles_through(bag_ss.coalg, 0, 2)) == 6
-    assert len(cycles_through(u_loop.coalg, 0, 3)) == 3
-    assert cycles_through(server_pc.coalg, 2, 4) == []
+    assert len(list(cycles_through(bag_ss.coalg, 0, 2))) == 6
+    assert len(list(cycles_through(u_loop.coalg, 0, 3))) == 3
+    assert list(cycles_through(server_pc.coalg, 2, 4)) == []
+
+
+def _cycles_by_recursion(c, state, maxlen):
+    # Reference: the recursive enumeration into one list, without pruning.
+    steps = {s: sorted((k, t) for t, k in c.successors(s)) for s in range(c.n_states)}
+    out = []
+
+    def walk(cur, states, indices):
+        if len(indices) == maxlen:
+            return
+        for k, t in steps[cur]:
+            states.append(t)
+            indices.append(k)
+            if t == state:
+                out.append(FinitePath(tuple(states), tuple(indices)))
+            walk(t, states, indices)
+            states.pop()
+            indices.pop()
+
+    walk(state, [state], [])
+    return out
+
+
+def _comparable(cycles):
+    return all(a.is_prefix_of(b) or b.is_prefix_of(a) for a in cycles for b in cycles)
+
+
+# The reference lists every cycle; on three sig_server states that takes
+# about 100 s (2-vCPU VM, CPython 3.11), so that signature stops at two.
+@pytest.mark.parametrize("name,nmax", [("sig_poly", 3), ("sig_bag", 3), ("sig_server", 2)])
+def test_cycles_and_oracle_match_recursive_enumeration(name, nmax, request):
+    sig = request.getfixturevalue(name)
+    for n in range(1, nmax + 1):
+        for c in all_coalgebras(sig, n):
+            for maxlen in (1, 2, 2 * n):
+                comparable = []
+                for s in range(n):
+                    want = _cycles_by_recursion(c, s, maxlen)
+                    assert list(cycles_through(c, s, maxlen)) == want
+                    comparable.append(_comparable(want))
+                for root in range(n):
+                    thin = all(comparable[s] for s in reachable_states(c, root))
+                    assert oracle_is_thin(PointedCoalgebra(c, root), maxlen) == thin
 
 
 # -- strongly connected components ----------------------------------------
@@ -340,9 +384,7 @@ def sig_wide():
     )
 
 
-@pytest.mark.parametrize("name", ["sig_mixed", "sig_wide"])
-def test_refine_matches_rounds_on_random_systems(name, request, monkeypatch):
-    sig = request.getfixturevalue(name)
+def _merging_systems(sig):
     rng = random.Random(6143)
     for _ in range(150):
         n = rng.randrange(1, 13)
@@ -352,7 +394,12 @@ def test_refine_matches_rounds_on_random_systems(name, request, monkeypatch):
         for _ in range(n):
             op = rng.choice(sig.ops)
             rows.append((op.id, tuple(rng.choice(targets) for _ in range(op.arity))))
-        c = build(sig, rows).coalg
+        yield build(sig, rows).coalg
+
+
+@pytest.mark.parametrize("name", ["sig_mixed", "sig_wide"])
+def test_refine_matches_rounds_on_random_systems(name, request, monkeypatch):
+    for c in _merging_systems(request.getfixturevalue(name)):
         _assert_refines_like_reference(c)
         _assert_minimizes_like_reference(c, monkeypatch)
 
@@ -414,15 +461,114 @@ def test_canonical_key_fingerprints_behaviour(sig_bag):
             assert (keys[i] == keys[j]) == beh_equal(p1, pcs[j])
 
 
-def test_canonical_key_ignores_state_numbering(sig_bag, sig_server):
+def _relabel(c, pi):
+    # State s becomes pi[s].
+    trans = [None] * c.n_states
+    for s, elem in enumerate(c.transition):
+        trans[pi[s]] = c.sig.map_elem(elem, pi.__getitem__)
+    return Coalgebra(c.sig, tuple(trans))
+
+
+def test_canonical_key_ignores_state_numbering(sig_bag, sig_server, sig_wide):
     rng = random.Random(31337)
-    for sig in (sig_bag, sig_server):
+    n = 10
+    for sig in (sig_bag, sig_server, sig_wide):
         for _ in range(25):
-            pc = _rand_pc(rng, sig, 5)
-            pi = list(range(5))
+            pc = _rand_pc(rng, sig, n)
+            pi = list(range(n))
             rng.shuffle(pi)
-            trans = [None] * 5
-            for s in range(5):
-                trans[pi[s]] = sig.map_elem(pc.coalg.transition[s], pi.__getitem__)
-            shuffled = PointedCoalgebra(Coalgebra(sig, tuple(trans)), pi[pc.root])
+            shuffled = PointedCoalgebra(_relabel(pc.coalg, pi), pi[pc.root])
             assert canonical_key(shuffled) == canonical_key(pc)
+            # Block ids are fixed by structure, not by state numbers.
+            block = _refine(pc.coalg, range(n))
+            moved = _refine(shuffled.coalg, range(n))
+            assert all(moved[pi[s]] == block[s] for s in range(n))
+
+
+# -- the key against the colour loop it replaced --------------------------
+
+
+def _colour_key(pc):
+    # Reference: minimize, then refine the quotient round by round (the
+    # colour loop), with rows in colour order.
+    mpc, _ = minimize(pc)
+    c = mpc.coalg
+    colour = _refine_by_rounds(c, range(c.n_states))
+    rows = [None] * c.n_states
+    for s, col in colour.items():
+        elem = c.sig.map_elem(c.transition[s], colour.__getitem__)
+        rows[col] = (elem.op, elem.args)
+    return (colour[mpc.root], tuple(rows))
+
+
+def _assert_keys_match_colour_keys(pcs):
+    new = [canonical_key(pc) for pc in pcs]
+    old = [_colour_key(pc) for pc in pcs]
+    # Equal exactly when the old keys are equal: the pairing is a bijection.
+    assert len(set(zip(new, old))) == len(set(new)) == len(set(old))
+
+
+def _blow_up(rng, c, copies=3):
+    # Copy r of state s is r * n + s; each argument goes to a random copy of
+    # its target, so every copy behaves as its original.  Then renumber.
+    n = c.n_states
+    trans = tuple(
+        c.sig.map_elem(c.transition[s], lambda t: rng.randrange(copies) * n + t)
+        for _ in range(copies)
+        for s in range(n)
+    )
+    pi = list(range(copies * n))
+    rng.shuffle(pi)
+    return _relabel(Coalgebra(c.sig, trans), pi), pi
+
+
+@pytest.mark.parametrize("name", ["sig_poly", "sig_bag", "sig_server"])
+def test_key_matches_colour_key_exhaustively(name, request):
+    sig = request.getfixturevalue(name)
+    _assert_keys_match_colour_keys(
+        [
+            PointedCoalgebra(c, root)
+            for n in range(1, 4)
+            for c in all_coalgebras(sig, n)
+            for root in range(n)
+        ]
+    )
+
+
+@pytest.mark.parametrize("name", ["sig_mixed", "sig_wide"])
+def test_key_matches_colour_key_on_random_systems(name, request):
+    rng = random.Random(8867)
+    pcs = []
+    for c in _merging_systems(request.getfixturevalue(name)):
+        big, pi = _blow_up(rng, c)
+        for root in range(c.n_states):
+            pcs.append(PointedCoalgebra(c, root))
+            pcs.append(PointedCoalgebra(big, pi[root]))
+    _assert_keys_match_colour_keys(pcs)
+    assert len({canonical_key(pc) for pc in pcs}) <= len(pcs) // 2
+
+
+def _loop_chain(sig, loops):
+    # Loops of 3, 4 and 5 states in turn, each exiting into the next from
+    # its last state; the other b sides point at the leaf.  Loops differ
+    # only in their distance to the leaf: one refinement round per state.
+    sizes = [(3, 4, 5)[j % 3] for j in range(loops)]
+    leaf = sum(sizes)
+    rows = []
+    for j, k in enumerate(sizes):
+        first = len(rows)
+        for i in range(k - 1):
+            rows.append(("b", (first + i + 1, leaf)) if i % 2 else ("u", (first + i + 1,)))
+        rows.append(("b", (first, first + k if j + 1 < loops else leaf)))
+    rows.append(("c", ()))
+    return build(sig, rows).coalg
+
+
+def test_key_matches_colour_key_on_a_long_chain(sig_poly):
+    chain = _loop_chain(sig_poly, 50)
+    assert chain.n_states == 200
+    big, pi = _blow_up(random.Random(5), chain, copies=2)
+    pcs = [PointedCoalgebra(chain, r) for r in (0, 1, 12)] + [PointedCoalgebra(big, pi[0])]
+    _assert_keys_match_colour_keys(pcs)
+    assert canonical_key(pcs[0]) == canonical_key(pcs[3]) != canonical_key(pcs[2])
+    assert minimize(pcs[0])[0].coalg.n_states > 190

@@ -23,7 +23,6 @@ GATED = (
 ALLOWED = {
     "normalform.py": {"_compositions", "enumerate_terms"},
     "generate.py": {"rand_term"},
-    "coalgebra.py": {"cycles_through.walk"},
 }
 
 _FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
