@@ -271,10 +271,7 @@ def cmd_gen(args) -> int:
     cap = _arity_cap()
     sig = load_signature(args.sig, cap)
     if args.kind == "coalgebra":
-        weights = None
-        if args.weights:
-            weights = [float(w) for w in args.weights.split(",")]
-        pc = gen_coalgebra(sig, args.size, args.seed, weights=weights, root=args.root)
+        pc = gen_coalgebra(sig, args.size, args.seed, weights=args.weights, root=args.root)
         doc = dump_coalgebra(pc.coalg, root=pc.root)
     else:
         doc = dump_term(gen_term(sig, args.size, args.seed))
@@ -289,10 +286,9 @@ def cmd_bench(args) -> int:
     started = time.perf_counter()
     cap = _arity_cap()
     sig = load_signature(args.sig, cap)
-    sizes = [int(s) for s in args.sizes.split(",")]
     runs = []
     human = []
-    for i, n in enumerate(sizes):
+    for i, n in enumerate(args.sizes):
         t0 = time.perf_counter()
         pc = gen_coalgebra(sig, n, args.seed + i)
         t1 = time.perf_counter()
@@ -318,6 +314,23 @@ def cmd_bench(args) -> int:
 
 
 # -- parser ---------------------------------------------------------------
+
+
+def _weight_list(text: str) -> list[float]:
+    try:
+        return [float(w) for w in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+
+
+def _size_list(text: str) -> list[int]:
+    try:
+        sizes = [int(s) for s in text.split(",")]
+        if min(sizes) > 0:
+            return sizes
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected comma-separated positive integers, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,13 +409,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--weights", help="comma-separated per-op weights (coalgebra)")
+    p.add_argument("--weights", type=_weight_list,
+                   help="comma-separated per-op weights (coalgebra)")
     p.add_argument("--root", type=int, default=0)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("bench", parents=[common], help="time the thinness check")
     p.add_argument("--sig", required=True)
-    p.add_argument("--sizes", required=True, help="comma-separated state counts")
+    p.add_argument("--sizes", type=_size_list, required=True,
+                   help="comma-separated state counts")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 

@@ -6,6 +6,7 @@ the output exactly; the CLI relies on this for byte-identical files.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Sequence
 
@@ -26,8 +27,12 @@ def gen_coalgebra(
     per-op weights, controlling edge density) and a uniform successor tuple."""
     rng = random.Random(seed)
     ops = sig.ops
-    if weights is not None and len(weights) != len(ops):
-        raise SignatureError("need one weight per operation")
+    if weights is not None:
+        if len(weights) != len(ops):
+            raise SignatureError("need one weight per operation")
+        total = sum(weights)
+        if not (all(w >= 0 for w in weights) and 0 < total < math.inf):
+            raise SignatureError("weights must be finite and nonnegative with a positive total")
     transitions = []
     for _ in range(n_states):
         if weights is None:

@@ -16,14 +16,21 @@ topological order:
   decomposition keeps every side at major at most ``k`` and continues into a
   spine of value at most ``k``: the least, over the decompositions that
   continue into a spine, of the largest of the spine value and the side
-  majors.  The decompositions attaining it form the state's spine choices.
+  majors.  The decompositions attaining it form the state's spine entries.
 
 ``extract_normal`` checks its input for thinness, minimizes, and reads a term
-off the quotient's table; only ``state_ranks`` analyses the quotient.  All
-tie-breaking compares extracted terms, never state numbers, so behaviourally
-equal inputs extract structurally identical terms.  ``brute_force_normal`` is
-the independent oracle: enumerate every candidate term up to a size bound and
-replay the inductive definition of normality over the pool.
+off the quotient's table; only ``state_ranks`` analyses the quotient.  Every
+``"g"`` state has exactly one spine step: a loop member by thinness, and a
+lone one of value ``k`` because ``k + 1`` is at most its branching major
+(stream minor 0, branching minor at least 1).  Sides of a best decomposition
+have major at most ``k``, so its next state ``x`` is the only successor of
+major above ``k``, occurs once, and is ``"g"`` of value ``k`` in turn (an
+``"f"`` state of value at most ``k`` has major at most ``k``).  A spine walk
+meets no choice, and extraction makes none: equal behaviours have
+isomorphic minimal quotients, so they extract the same term.
+``brute_force_normal`` is the independent oracle: enumerate every candidate
+term up to a size bound and replay the inductive definition of normality
+over the pool.
 """
 
 from __future__ import annotations
@@ -55,8 +62,8 @@ class StateRank:
 
     ``kind`` is "f" or "g".  ``g_value`` and ``spine`` are set for every
     state that reaches a cycle: ``spine`` lists the decompositions (context
-    over state ids, next state) that attain ``g_value``; extraction picks
-    among them by comparing extracted terms.
+    over state ids, next state) that attain ``g_value``.  A "g" state has
+    exactly one, the step extraction takes; an "f" state may have several.
     """
 
     rank: Rank
@@ -145,14 +152,14 @@ def state_ranks(pc: PointedCoalgebra) -> StateRankTable:
 def extract_normal(pc: PointedCoalgebra) -> Term:
     """The normal term of a thin pointed coalgebra.
 
-    Minimizes, ranks, then follows the best kind at every state; stream
-    spines collect their contexts until a state repeats, closing the lasso.
+    Minimizes, ranks, then follows the best kind at every state.  A stream
+    state's spine has one step per state, so its walk is forced: collect
+    the contexts until a state repeats, which closes the lasso.
     Deterministic and invariant under behavioural equivalence of the input.
 
     States are extracted from an explicit stack: a state is built once every
-    state its term mentions, and every state a tie-break on its spine
-    compares, is built.  Sides of a lone state sit strictly below it, so
-    these demands never loop back.
+    state its term mentions is built.  Sides of a lone state sit strictly
+    below it, so these demands never loop back.
     """
     _require_thin(pc)
     mpc, _ = minimize(pc)
@@ -161,61 +168,18 @@ def extract_normal(pc: PointedCoalgebra) -> Term:
     sig = c.sig
 
     memo: dict[int, Term] = {}
-    chosen: dict[int, tuple[ContextElem, int]] = {}
-    # Spine walks in progress: state -> [contexts so far, seen, current, cut].
-    walks: dict[int, list] = {}
+    # Walked spines of stream states: state -> (contexts, start of period).
+    lassos: dict[int, tuple[list[ContextElem], int]] = {}
 
-    def pending(s: int) -> list[int]:
-        """States ``s`` still waits for; empty once it can be built.
-
-        Walks the spine of a stream state as far as its tie-breaks allow,
-        resuming where the last call stopped.
-        """
-        if table[s].kind == "f":
-            return [x for x in c.transition[s].args if x not in memo]
-        walk = walks.get(s)
-        if walk is None:
-            walk = walks[s] = [[], {s: 0}, s, None]
-        steps, seen, cur, cut = walk
-        while cut is None:
-            step = chosen.get(cur)
-            if step is None:
-                cands = table[cur].spine
-                if len(cands) > 1:
-                    need = [
-                        x
-                        for ctx, nxt in cands
-                        for x in (*ctx.sides, nxt)
-                        if x not in memo
-                    ]
-                    if need:
-                        walk[2] = cur
-                        return need
-                    step = min(
-                        cands,
-                        key=lambda p: (
-                            sig.map_ctx(p[0], memo.__getitem__).sort_key,
-                            memo[p[1]],
-                        ),
-                    )
-                else:
-                    step = cands[0]
-                chosen[cur] = step
-            ctx, nxt = step
+    def walk(cur: int) -> tuple[list[ContextElem], int]:
+        steps: list[ContextElem] = []
+        seen = {cur: 0}
+        while True:
+            ((ctx, cur),) = table[cur].spine
             steps.append(ctx)
-            if nxt in seen:
-                cut = walk[3] = seen[nxt]
-            else:
-                seen[nxt] = len(steps)
-                cur = nxt
-        return [x for ctx in steps for x in ctx.sides if x not in memo]
-
-    def build(s: int) -> Term:
-        if table[s].kind == "f":
-            return FNode(sig.map_elem(c.transition[s], memo.__getitem__))
-        steps, _, _, cut = walks.pop(s)
-        ctxs = tuple(sig.map_ctx(ctx, memo.__getitem__) for ctx in steps)
-        return GNode(LassoStream(ctxs[:cut], ctxs[cut:]))
+            if cur in seen:
+                return steps, seen[cur]
+            seen[cur] = len(steps)
 
     stack = [mpc.root]
     while stack:
@@ -223,12 +187,22 @@ def extract_normal(pc: PointedCoalgebra) -> Term:
         if s in memo:
             stack.pop()
             continue
-        need = pending(s)
+        if table[s].kind == "f":
+            need = [x for x in c.transition[s].args if x not in memo]
+        else:
+            if s not in lassos:
+                lassos[s] = walk(s)
+            need = [x for ctx in lassos[s][0] for x in ctx.sides if x not in memo]
         if need:
             stack.extend(need)
+            continue
+        stack.pop()
+        if table[s].kind == "f":
+            memo[s] = FNode(sig.map_elem(c.transition[s], memo.__getitem__))
         else:
-            memo[s] = build(s)
-            stack.pop()
+            steps, cut = lassos.pop(s)
+            ctxs = tuple(sig.map_ctx(ctx, memo.__getitem__) for ctx in steps)
+            memo[s] = GNode(LassoStream(ctxs[:cut], ctxs[cut:]))
     return memo[mpc.root]
 
 

@@ -27,7 +27,6 @@ through a ``sort_key`` attribute.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import factorial, prod
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -93,13 +92,6 @@ class PermGroup:
 
     def __iter__(self) -> Iterator[Perm]:
         return iter(self.elements)
-
-    def __contains__(self, perm) -> bool:
-        return tuple(perm) in self._element_set
-
-    @cached_property
-    def _element_set(self) -> frozenset[Perm]:
-        return frozenset(self.elements)
 
     @property
     def is_trivial(self) -> bool:

@@ -351,11 +351,15 @@ def test_gen_weights_must_match_ops(files, tmp_path):
         "--size", "5", "--seed", "1", "-o", str(out), "--weights", "1,2,3",
     )
     assert ok.returncode == 0
-    bad = run(
-        "gen", "coalgebra", "--sig", str(files["poly_sig"]),
-        "--size", "5", "--seed", "1", "-o", str(out), "--weights", "1,2",
-    )
-    assert bad.returncode == 2
+    # a length mismatch, a non-number, and weights that are negative,
+    # infinite, not a number, or all zero
+    for weights in ("1,2", "x,1,1", "-1,1,1", "inf,1,1", "nan,1,1", "0,0,0"):
+        bad = run(
+            "gen", "coalgebra", "--sig", str(files["poly_sig"]),
+            "--size", "5", "--seed", "1", "-o", str(out), "--weights", weights,
+        )
+        assert bad.returncode == 2, weights
+        assert "Traceback" not in bad.stderr
 
 
 def test_bench_reports_runs(files):
@@ -366,6 +370,10 @@ def test_bench_reports_runs(files):
     report = _report_of(proc)
     assert [r["states"] for r in report["result"]["runs"]] == [50, 100]
     assert "check_ratio" in report["result"]
+    for sizes in ("10,x", "10,2.5", "0,10", "-5", ""):
+        bad = run("bench", "--sig", str(files["bag_sig"]), "--sizes", sizes)
+        assert bad.returncode == 2, sizes
+        assert "Traceback" not in bad.stderr
 
 
 # -- global behaviour -----------------------------------------------------

@@ -5,8 +5,14 @@ import random
 import pytest
 
 from conftest import all_coalgebras, build
-from thincoalg import NonThinError, PointedCoalgebra, TermError, is_thin
-from thincoalg.coalgebra import reachable_condensation
+from thincoalg import (
+    Coalgebra,
+    NonThinError,
+    PointedCoalgebra,
+    TermError,
+    is_thin,
+)
+from thincoalg.coalgebra import minimize, reachable_condensation
 from thincoalg.generate import rand_term
 from thincoalg.normalform import (
     brute_force_normal,
@@ -26,6 +32,7 @@ from thincoalg.terms import (
     term_size,
     unfold_step,
 )
+from thincoalg.thinness import _require_thin
 
 
 @pytest.fixture(scope="module")
@@ -116,29 +123,170 @@ def _reference_lone_entry(c, entries, s):
     raise AssertionError("threshold search failed below its ceiling")
 
 
-@pytest.mark.parametrize("name", ["sig_poly", "sig_bag", "sig_server"])
-def test_lone_state_ranks_match_threshold_search(name, request):
-    sig = request.getfixturevalue(name)
-    spines = 0
-    for n in range(1, 4):
+def _thin_rooted(sig, n_max):
+    """Every thin rooted system on at most ``n_max`` states."""
+    for n in range(1, n_max + 1):
         for c in all_coalgebras(sig, n):
             for root in range(n):
                 pc = PointedCoalgebra(c, root)
-                if not is_thin(pc).thin:
-                    continue
-                entries = state_ranks(pc).entries
-                for members in reachable_condensation(pc).components:
-                    s = members[0]
-                    if len(members) > 1 or s in c.transition[s].args:
-                        continue
-                    e = entries[s]
-                    want = _reference_lone_entry(c, entries, s)
-                    assert (e.rank, e.kind, e.g_value, e.spine) == want
-                    spines += e.g_value is not None
+                if is_thin(pc).thin:
+                    yield pc
+
+
+# Largest system size per signature in the exhaustive tests.
+SMALL_SYSTEMS = {"sig_poly": 3, "sig_bag": 3, "sig_server": 3, "sig_mixed": 2}
+
+
+@pytest.mark.parametrize("name", SMALL_SYSTEMS)
+def test_lone_state_ranks_match_threshold_search(name, request):
+    sig = request.getfixturevalue(name)
+    spines = 0
+    for pc in _thin_rooted(sig, SMALL_SYSTEMS[name]):
+        c = pc.coalg
+        entries = state_ranks(pc).entries
+        # Every stream state has one spine step, so extraction never chooses.
+        for e in entries.values():
+            assert e.kind == "f" or len(e.spine) == 1
+        for members in reachable_condensation(pc).components:
+            s = members[0]
+            if len(members) > 1 or s in c.transition[s].args:
+                continue
+            e = entries[s]
+            want = _reference_lone_entry(c, entries, s)
+            assert (e.rank, e.kind, e.g_value, e.spine) == want
+            spines += e.g_value is not None
     assert spines > 0
 
 
 # -- extraction and normalization -----------------------------------------
+
+
+def _reference_extract_normal(pc):
+    # The extraction that breaks ties between spine candidates by comparing
+    # their extracted contexts and next terms, walking spines that resume
+    # once the compared states are built.
+    _require_thin(pc)
+    mpc, _ = minimize(pc)
+    table = state_ranks(mpc)
+    c = mpc.coalg
+    sig = c.sig
+
+    memo = {}
+    chosen = {}
+    # Spine walks in progress: state -> [contexts so far, seen, current, cut].
+    walks = {}
+
+    def pending(s):
+        if table[s].kind == "f":
+            return [x for x in c.transition[s].args if x not in memo]
+        walk = walks.get(s)
+        if walk is None:
+            walk = walks[s] = [[], {s: 0}, s, None]
+        steps, seen, cur, cut = walk
+        while cut is None:
+            step = chosen.get(cur)
+            if step is None:
+                cands = table[cur].spine
+                if len(cands) > 1:
+                    need = [
+                        x
+                        for ctx, nxt in cands
+                        for x in (*ctx.sides, nxt)
+                        if x not in memo
+                    ]
+                    if need:
+                        walk[2] = cur
+                        return need
+                    step = min(
+                        cands,
+                        key=lambda p: (
+                            sig.map_ctx(p[0], memo.__getitem__).sort_key,
+                            memo[p[1]],
+                        ),
+                    )
+                else:
+                    step = cands[0]
+                chosen[cur] = step
+            ctx, nxt = step
+            steps.append(ctx)
+            if nxt in seen:
+                cut = walk[3] = seen[nxt]
+            else:
+                seen[nxt] = len(steps)
+                cur = nxt
+        return [x for ctx in steps for x in ctx.sides if x not in memo]
+
+    def build_term(s):
+        if table[s].kind == "f":
+            return FNode(sig.map_elem(c.transition[s], memo.__getitem__))
+        steps, _, _, cut = walks.pop(s)
+        ctxs = tuple(sig.map_ctx(ctx, memo.__getitem__) for ctx in steps)
+        return GNode(LassoStream(ctxs[:cut], ctxs[cut:]))
+
+    stack = [mpc.root]
+    while stack:
+        s = stack[-1]
+        if s in memo:
+            stack.pop()
+            continue
+        need = pending(s)
+        if need:
+            stack.extend(need)
+        else:
+            memo[s] = build_term(s)
+            stack.pop()
+    return memo[mpc.root]
+
+
+def _random_thin_systems(sigs, count, rng):
+    # Rooted systems of 4-11 states, all reachable: state s passes to s + 1
+    # at a random position, and its other arguments point forward more often
+    # than back.  Draws that are not thin are skipped.
+    found = 0
+    while found < count:
+        sig = rng.choice(sigs)
+        n = rng.randint(4, 11)
+        trans = []
+        for s in range(n):
+            last = s + 1 == n
+            op = rng.choice([o for o in sig.ops if o.arity or last])
+            args = [
+                rng.randrange(s + 1, n) if not last and rng.random() < 0.6
+                else rng.randrange(n)
+                for _ in range(op.arity)
+            ]
+            if not last:
+                args[rng.randrange(op.arity)] = s + 1
+            trans.append(sig.canonical_tuple(op.id, args))
+        pc = PointedCoalgebra(Coalgebra(sig, tuple(trans)), 0)
+        if is_thin(pc).thin:
+            found += 1
+            yield pc
+
+
+@pytest.mark.parametrize("name", SMALL_SYSTEMS)
+def test_extraction_matches_tie_breaking_reference(name, request):
+    sig = request.getfixturevalue(name)
+    streams = 0
+    for pc in _thin_rooted(sig, SMALL_SYSTEMS[name]):
+        got = extract_normal(pc)
+        assert got is _reference_extract_normal(pc)
+        streams += isinstance(got, GNode)
+    assert streams > 0
+
+
+def test_extraction_matches_reference_on_random_systems(
+    sig_poly, sig_bag, sig_server, sig_mixed
+):
+    sigs = (sig_poly, sig_bag, sig_server, sig_mixed)
+    rng = random.Random(2718)
+    streams = 0
+    for pc in _random_thin_systems(sigs, 2000, rng):
+        assert len(state_ranks(pc).entries) >= 4
+        got = extract_normal(pc)
+        assert got is _reference_extract_normal(pc)
+        streams += isinstance(got, GNode)
+    assert streams > 200
 
 
 def test_extract_pure_loop(u_loop, atoms):
