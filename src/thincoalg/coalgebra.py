@@ -16,12 +16,10 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CoalgebraError
-from .signature import FElem, SignatureSpec
+from .signature import FElem, SignatureSpec, _orbit_min
 
 
 @dataclass(frozen=True)
@@ -31,9 +29,10 @@ class Coalgebra:
 
     def __post_init__(self):
         n = len(self.transition)
+        records = self.sig._records
         for s, elem in enumerate(self.transition):
-            op = self.sig.op(elem.op)
-            if len(elem.args) != op.arity:
+            record = records.get(elem.op) or self.sig._record(elem.op)
+            if len(elem.args) != record[0]:
                 raise CoalgebraError(
                     f"state {s}: tuple length {len(elem.args)} does not match "
                     f"arity of {elem.op!r}"
@@ -41,23 +40,6 @@ class Coalgebra:
             for t in elem.args:
                 if not isinstance(t, int) or not 0 <= t < n:
                     raise CoalgebraError(f"state {s}: successor {t!r} out of range")
-
-    @classmethod
-    def _of_canonical(cls, sig: SignatureSpec, transition: tuple[FElem, ...]) -> "Coalgebra":
-        """A coalgebra over elements ``sig.canonical_tuple`` built from integer
-        arguments, so that only the successor range is left to check.
-
-        Input with a successor out of range goes through the full
-        constructor, which raises the same first error as always.
-        """
-        n = len(transition)
-        succ = list(chain.from_iterable(map(attrgetter("args"), transition)))
-        if succ and not (0 <= min(succ) and max(succ) < n):
-            return cls(sig, transition)
-        c = object.__new__(cls)
-        object.__setattr__(c, "sig", sig)
-        object.__setattr__(c, "transition", transition)
-        return c
 
     @property
     def n_states(self) -> int:
@@ -117,7 +99,11 @@ class FinitePath:
 
 
 def validate_path(c: Coalgebra, path: FinitePath) -> None:
-    """Raise unless every step of ``path`` is a successor pair of its source."""
+    """Raise unless every state of ``path`` is a state of ``c`` and every
+    step is a successor pair of its source."""
+    for s in path.states:
+        if not 0 <= s < c.n_states:
+            raise CoalgebraError(f"path state {s} out of range")
     for j in range(path.length):
         s, t, k = path.states[j], path.states[j + 1], path.indices[j]
         mult = sum(1 for x in c.transition[s].args if x == t)
@@ -335,12 +321,14 @@ def _refine(c: Coalgebra, states: Sequence[int]) -> dict[int, int]:
 
     ``states`` must be closed under successors.  Worklist refinement in the
     manner of Hopcroft and of Valmari & Lehtinen: starting from one block
-    with every state dirty, each round re-signs only the dirty states (their
-    canonical branching value over block ids), groups them by (block, key),
-    and splits each touched block into one part per key plus the untouched
-    rest, if any.  The largest part keeps the block id, every other part
-    gets a fresh one, and the predecessors of the states that got a fresh id
-    are the next round's dirty states.
+    with every state dirty, each round re-signs only the dirty states, groups
+    them by (block, key), and splits each touched block into one part per
+    key plus the untouched rest, if any.  The largest part keeps the block
+    id, every other part gets a fresh one, and the predecessors of the
+    states that got a fresh id are the next round's dirty states.  A key is
+    the state's op and the orbit minimum of its successors' block ids,
+    straight from ``signature._orbit_min``: the coalgebra's elements were
+    checked when it was built, so signing builds and checks no element.
 
     Invariant: the untouched members of a block share one key, since none of
     their successors changed id since they were last signed together.  A
@@ -355,7 +343,7 @@ def _refine(c: Coalgebra, states: Sequence[int]) -> dict[int, int]:
     last, and the largest part keeps the id, ties to the rest, then to the
     least key.
     """
-    sig = c.sig
+    records = c.sig._records
     tr = c.transition
     block = [0] * c.n_states
     lookup = block.__getitem__
@@ -369,8 +357,9 @@ def _refine(c: Coalgebra, states: Sequence[int]) -> dict[int, int]:
     while dirty:
         touched: dict[int, dict] = {}
         for s in dirty:
-            elem = sig.map_elem(tr[s], lookup)
-            touched.setdefault(block[s], {}).setdefault((elem.op, elem.args), set()).add(s)
+            e = tr[s]
+            key = (e.op, _orbit_min(records[e.op], tuple(map(lookup, e.args))))
+            touched.setdefault(block[s], {}).setdefault(key, set()).add(s)
         moved: list[int] = []
         for b, by_key in sorted(touched.items()):
             parts = [p for _, p in sorted(by_key.items())]
@@ -477,8 +466,9 @@ def canonical_key(pc: PointedCoalgebra):
     block = _refine(c, range(n))
     if len(set(block.values())) != n:
         raise CoalgebraError("internal: minimal coalgebra with equivalent states")
+    records = c.sig._records
     rows = [None] * n
-    for s in range(n):
-        elem = c.sig.map_elem(c.transition[s], block.__getitem__)
-        rows[block[s]] = (elem.op, elem.args)
+    for s, elem in enumerate(c.transition):
+        args = tuple(map(block.__getitem__, elem.args))
+        rows[block[s]] = (elem.op, _orbit_min(records[elem.op], args))
     return (block[mpc.root], tuple(rows))

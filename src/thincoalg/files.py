@@ -15,7 +15,7 @@ from typing import Any
 
 from .coalgebra import Coalgebra, FinitePath
 from .errors import CoalgebraError, SignatureError, TermError
-from .signature import DEFAULT_ARITY_CAP, FElem, OperationSymbol, SignatureSpec
+from .signature import DEFAULT_ARITY_CAP, OperationSymbol, SignatureSpec
 from .terms import FNode, GNode, LassoStream, Term
 from .thinness import ThinWitness
 
@@ -114,24 +114,14 @@ def load_coalgebra(
     if not isinstance(rows, list) or len(rows) != n:
         raise CoalgebraError(f"'transitions' must list exactly {n} entries")
     transitions = []
-    # Arity of each op with a trivial group met so far: its tuples are their
-    # own orbit minima, so they skip the canonicalization call.
-    rigid: dict[str, int] = {}
     for s, row in enumerate(rows):
         if not isinstance(row, dict) or not isinstance(row.get("op"), str):
             raise CoalgebraError(f"state {s}: transition needs an 'op' string")
         tup = row.get("tuple", [])
         if not isinstance(tup, list) or not all(isinstance(x, int) for x in tup):
             raise CoalgebraError(f"state {s}: 'tuple' must be a list of integers")
-        op = row["op"]
-        if rigid.get(op) == len(tup):
-            transitions.append(FElem(op, tuple(tup)))
-            continue
-        transitions.append(sig.canonical_tuple(op, tup))
-        if sig.group(op).is_trivial:
-            rigid[op] = len(tup)
-    # Ops, arities and integer successors are checked: only the range is left.
-    coalg = Coalgebra._of_canonical(sig, tuple(transitions))
+        transitions.append(sig.canonical_tuple(row["op"], tup))
+    coalg = Coalgebra(sig, tuple(transitions))
     root = data.get("root")
     if root is not None and not isinstance(root, int):
         raise CoalgebraError("'root' must be an integer")

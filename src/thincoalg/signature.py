@@ -11,17 +11,18 @@ The group acts on a tuple by moving the entry at position ``k`` to position
 ``sigma[k]``.  Contexts carry the restricted action: the hole moves with the
 permutation and the remaining entries follow.
 
-Canonical representatives are lexicographic minima over the group, found in
-one of two ways chosen from the group itself.  When the group is the full
-symmetric group on each orbit of positions (rigid positions, bags, and
-products of those), the minimum is found by sorting the values inside each
-orbit; a context's hole goes to the first position of its orbit.  Any other
-group (a rotation of three or more positions, a dihedral group, ...) falls
-back to taking the minimum over every group element.  Groups are still
-enumerated when the signature is built, which is exponential in the arity,
-so arities stay capped (default 8, see ``DEFAULT_ARITY_CAP``).  Argument
-values must be totally ordered, either natively (ints, strings, terms) or
-through a ``sort_key`` attribute.
+Canonical representatives are lexicographic minima over the group, and one
+routine, ``_orbit_min``, finds them all: for canonical tuples, for contexts
+(with the hole filled by ``_HOLE``, a marker that sorts below every value, so
+the hole goes to the first position it can reach) and for refinement keys.
+A rigid op's tuple is its own minimum.  When the group is the full symmetric
+group on each orbit of positions (bags, and products of those), the values
+inside each orbit are sorted; any other group (a rotation of three or more
+positions, a dihedral group, ...) takes the least image under its elements.
+Groups are still enumerated when the signature is built, which is
+exponential in the arity, so arities stay capped (default 8, see
+``DEFAULT_ARITY_CAP``).  Argument values must be totally ordered, natively
+(ints, strings, terms) or, for nested elements, through ``sort_key``.
 """
 
 from __future__ import annotations
@@ -225,20 +226,50 @@ class ContextElem:
         return frozenset(self.sides)
 
 
-def _hole_key(full: Sequence) -> tuple:
-    # The hole (None) sorts below every argument value.
-    return tuple((0,) if v is None else (1, value_key(v)) for v in full)
+class _Hole:
+    """The marker a context's hole holds while it is canonicalized: it sorts
+    below every value, and is its own ``sort_key`` for nested elements."""
+
+    def __lt__(self, other) -> bool:
+        return other is not self
+
+    def __gt__(self, other) -> bool:
+        return False
+
+    @property
+    def sort_key(self) -> "_Hole":
+        return self
+
+
+_HOLE = _Hole()
+
+
+def _orbit_min(record: tuple, vals: tuple) -> tuple:
+    """The least member of the orbit of ``vals`` under the group of the op
+    whose ``(arity, orbits, getters)`` record is given: ``vals`` itself for
+    a rigid op, else ``vals`` sorted inside each orbit, or its least image."""
+    _, orbits, getters = record
+    if orbits is not None:
+        out = list(vals)
+        for orb in orbits:
+            for k, v in zip(orb, sorted([vals[k] for k in orb])):
+                out[k] = v
+        return tuple(out)
+    if getters is not None:
+        return min([act(vals) for act in getters])
+    return vals
 
 
 class SignatureSpec:
     """A validated signature; each group is enumerated and classified once.
 
     At build time every operation's group is enumerated and its position
-    orbits are taken from the generators.  Canonical tuples and contexts of
-    operations whose group is symmetric on each orbit are found by sorting
-    inside the orbits; other groups fall back to the minimum over their
-    enumerated elements, each applied as one precomputed ``itemgetter``.
-    Both give the same lexicographic minimum.
+    orbits are taken from the generators.  The op's record holds its arity
+    and what ``_orbit_min`` needs: nothing for a trivial group, the orbits to
+    sort within for a group symmetric on each orbit, or else one
+    precomputed ``itemgetter`` per group element, acting as ``apply_perm``.
+    Canonical tuples, canonical contexts (the hole as ``_HOLE``) and
+    refinement keys all go through that one routine.
 
     Raises ``SignatureError`` on duplicate ids, bad permutations, or arities
     above ``arity_cap``.  Two specs are equal when they have the same ops with
@@ -252,10 +283,8 @@ class SignatureSpec:
         self.arity_cap = arity_cap
         self._by_id: dict[str, OperationSymbol] = {}
         self._groups: dict[str, PermGroup] = {}
-        # Non-singleton orbits to sort within, or None to enumerate the group.
-        self._orbits: dict[str, tuple[tuple[int, ...], ...] | None] = {}
-        # For enumerated groups: one getter per element, acting as apply_perm.
-        self._actions: dict[str, tuple[itemgetter, ...]] = {}
+        # (arity, orbits to sort or None, group getters or None) per op id.
+        self._records: dict[str, tuple] = {}
         if not self.ops:
             raise SignatureError("signature needs at least one operation")
         for op in self.ops:
@@ -270,13 +299,13 @@ class SignatureSpec:
             self._by_id[op.id] = op
             group = enumerate_group(op.generators, op.arity)
             self._groups[op.id] = group
-            self._orbits[op.id] = sortable_orbits(op.generators, group)
-            if self._orbits[op.id] is None:
+            orbits = sortable_orbits(op.generators, group)
+            getters = None
+            if orbits is None:
                 # Such a group is no product of symmetric groups, so its
                 # arity is at least 3 and every getter returns a tuple.
-                self._actions[op.id] = tuple(
-                    itemgetter(*invert_perm(g)) for g in group
-                )
+                getters = tuple(itemgetter(*invert_perm(g)) for g in group)
+            self._records[op.id] = (op.arity, orbits or None, getters)
         self._eq_key = tuple(
             (o.id, o.arity, self._groups[o.id].elements) for o in self.ops
         )
@@ -299,10 +328,8 @@ class SignatureSpec:
         return self._hash
 
     def op(self, op_id: str) -> OperationSymbol:
-        try:
-            return self._by_id[op_id]
-        except KeyError:
-            raise SignatureError(f"unknown operation {op_id!r}") from None
+        self._record(op_id)
+        return self._by_id[op_id]
 
     def arity(self, op_id: str) -> int:
         return self.op(op_id).arity
@@ -318,24 +345,24 @@ class SignatureSpec:
 
     # -- canonical construction ------------------------------------------
 
+    def _record(self, op_id: str) -> tuple:
+        # Hot callers try ``self._records.get`` first and come here on a miss.
+        try:
+            return self._records[op_id]
+        except KeyError:
+            raise SignatureError(f"unknown operation {op_id!r}") from None
+
     def canonical_tuple(self, op_id: str, values: Sequence) -> FElem:
         """The orbit-minimal element with the given arguments."""
-        op = self.op(op_id)
+        record = self._records.get(op_id) or self._record(op_id)
         vals = tuple(values)
-        if len(vals) != op.arity:
+        if len(vals) != record[0]:
             raise SignatureError(
-                f"{op_id!r} expects {op.arity} arguments, got {len(vals)}"
+                f"{op_id!r} expects {record[0]} arguments, got {len(vals)}"
             )
-        orbits = self._orbits[op_id]
-        if orbits:
-            out = list(vals)
-            for orb in orbits:
-                for k, v in zip(orb, sorted([vals[k] for k in orb])):
-                    out[k] = v
-            vals = tuple(out)
-        elif orbits is None:
-            vals = min([act(vals) for act in self._actions[op_id]])
-        return FElem(op_id, vals)
+        if record[1] is None and record[2] is None:
+            return FElem(op_id, vals)
+        return FElem(op_id, _orbit_min(record, vals))
 
     def canonical_context(self, op_id: str, hole: int, sides: Sequence) -> ContextElem:
         """The orbit-minimal context with the hole at ``hole``.
@@ -344,31 +371,19 @@ class SignatureSpec:
         sorts below every value, so the canonical hole position is the first
         position it can reach under the group.
         """
-        op = self.op(op_id)
-        if op.arity == 0:
+        record = self._record(op_id)
+        arity = record[0]
+        if arity == 0:
             raise SignatureError(f"{op_id!r} has arity 0 and admits no context")
-        if not 0 <= hole < op.arity:
-            raise SignatureError(f"hole {hole} out of range for {op_id!r}/{op.arity}")
+        if not 0 <= hole < arity:
+            raise SignatureError(f"hole {hole} out of range for {op_id!r}/{arity}")
         s = tuple(sides)
-        if len(s) != op.arity - 1:
+        if len(s) != arity - 1:
             raise SignatureError(
-                f"context over {op_id!r} expects {op.arity - 1} sides, got {len(s)}"
+                f"context over {op_id!r} expects {arity - 1} sides, got {len(s)}"
             )
-        full = s[:hole] + (None,) + s[hole:]
-        orbits = self._orbits[op_id]
-        if orbits:
-            out = list(full)
-            for orb in orbits:
-                # Sorted like _hole_key: the hole first, then by value_key.
-                vals = sorted((full[k] for k in orb if k != hole), key=value_key)
-                if len(vals) < len(orb):
-                    vals.insert(0, None)
-                for k, v in zip(orb, vals):
-                    out[k] = v
-            full = tuple(out)
-        elif orbits is None:
-            full = min([act(full) for act in self._actions[op_id]], key=_hole_key)
-        h = full.index(None)
+        full = _orbit_min(record, s[:hole] + (_HOLE,) + s[hole:])
+        h = full.index(_HOLE)
         return ContextElem(op_id, h, full[:h] + full[h + 1 :])
 
     # -- structural operations -------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coalgebra import PointedCoalgebra
-from .errors import SignatureError
+from .errors import SignatureError, TermError
 from .semantics import unfold
 from .signature import SignatureSpec
 from .terms import FNode, Term
@@ -38,6 +38,8 @@ class WordTree:
     words: frozenset[Word]
 
     def __post_init__(self):
+        if self.depth < 0:
+            raise TermError(f"tree depth must be nonnegative, got {self.depth}")
         if () not in self.words:
             raise ValueError("word tree must contain the empty word")
         for w in self.words:

@@ -308,6 +308,12 @@ def test_encode_lists_words(files):
     )
     assert proc.returncode == 2
     assert "trivial" in proc.stderr
+    # a negative depth is malformed input: one line, exit 2, no traceback
+    proc = run(
+        "encode", str(files["uomega"]), "--sig", str(files["poly_sig"]), "--depth", "-1"
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: tree depth must be nonnegative, got -1\n"
 
 
 def test_cb_rank_exit_codes(files):

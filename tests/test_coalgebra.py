@@ -91,6 +91,13 @@ def test_validate_path(server_pc, bag_ss):
     validate_path(bag_ss.coalg, FinitePath((0, 0), (1,)))
     with pytest.raises(CoalgebraError, match="not a successor"):
         validate_path(bag_ss.coalg, FinitePath((0, 0), (2,)))
+    # every state must exist: no negative indexing, no bare IndexError, and
+    # a length-0 path needs its one state too
+    with pytest.raises(CoalgebraError, match="out of range"):
+        validate_path(bag_ss.coalg, FinitePath((-1, 0), (0,)))
+    for states, indices in [((3, 0), (0,)), ((0, 3), (0,)), ((3,), ())]:
+        with pytest.raises(CoalgebraError, match="out of range"):
+            validate_path(c, FinitePath(states, indices))
 
 
 def test_reachable_states_in_bfs_order(server_pc, sig_poly):

@@ -137,7 +137,7 @@ def test_signature_loader_rejections():
         load_signature({"ops": [{"id": "u", "arity": 1, "generators": [0]}]})
 
 
-def test_coalgebra_loader_rejections(sig_poly):
+def test_coalgebra_loader_rejections(sig_poly, sig_bag):
     with pytest.raises(CoalgebraError, match="object"):
         load_coalgebra([], sig=sig_poly)
     with pytest.raises(CoalgebraError, match="no signature"):
@@ -158,6 +158,25 @@ def test_coalgebra_loader_rejections(sig_poly):
             {"states": 1, "transitions": [{"op": "u", "tuple": [0]}], "root": 1},
             sig=sig_poly,
         )
+    # The first error raised and its exact message.  Ops and arities are
+    # checked row by row, successor ranges once every row has passed.
+    u0, b00 = {"op": "u", "tuple": [0]}, {"op": "b", "tuple": [0, 0]}
+    cases = [
+        (sig_poly, [u0, {"op": "nope", "tuple": []}], SignatureError,
+         "unknown operation 'nope'"),
+        (sig_poly, [u0, b00, {"op": "u", "tuple": [0, 1]}], SignatureError,
+         "'u' expects 1 arguments, got 2"),
+        (sig_poly, [u0, b00, {"op": "b", "tuple": [1, 3]}], CoalgebraError,
+         "state 2: successor 3 out of range"),
+        (sig_poly, [{"op": "u", "tuple": [5]}, {"op": "nope", "tuple": []}], SignatureError,
+         "unknown operation 'nope'"),
+        (sig_bag, [{"op": "b2", "tuple": [0, -1]}], CoalgebraError,
+         "state 0: successor -1 out of range"),
+    ]
+    for sig, rows, error, message in cases:
+        with pytest.raises(error) as info:
+            load_coalgebra({"states": len(rows), "transitions": rows}, sig=sig)
+        assert str(info.value) == message
 
 
 def test_term_loader_rejections(sig_poly):

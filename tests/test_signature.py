@@ -18,7 +18,6 @@ from thincoalg import (
 )
 from thincoalg.generate import rand_term
 from thincoalg.signature import (
-    _hole_key,
     apply_perm,
     check_perm,
     compose_perms,
@@ -26,6 +25,7 @@ from thincoalg.signature import (
     invert_perm,
     position_orbits,
     sortable_orbits,
+    value_key,
 )
 
 
@@ -218,6 +218,11 @@ def reference_tuple(group, vals):
     return min(apply_perm(s, vals) for s in group)
 
 
+def _hole_key(full):
+    # The hole (None) sorts below every argument value.
+    return tuple((0,) if v is None else (1, value_key(v)) for v in full)
+
+
 def reference_context(group, hole, sides):
     full = sides[:hole] + (None,) + sides[hole:]
     best = min((apply_perm(s, full) for s in group), key=_hole_key)
@@ -280,18 +285,44 @@ def test_canonical_forms_match_enumeration_on_random_groups():
     assert sorted_groups > 0 and fallback_groups > 0
 
 
-@pytest.mark.parametrize("name", ["sig_bag", "sig_server", "sig_mixed"])
+@pytest.fixture(scope="module")
+def sig_rotations():
+    # Two groups that are no product of symmetric groups: C_3 and D_6.
+    return SignatureSpec(
+        [
+            OperationSymbol("z", 0),
+            OperationSymbol("c3", 3, ((1, 2, 0),)),
+            OperationSymbol("d6", 6, ((1, 2, 3, 4, 5, 0), (5, 4, 3, 2, 1, 0))),
+        ]
+    )
+
+
+def nested_elems(sig, rng, count):
+    """``count`` distinct elements over ``sig`` whose arguments are elements."""
+    pool = [sig.canonical_tuple(op.id, ()) for op in sig.ops if op.arity == 0]
+    while len(pool) < count:
+        op = rng.choice(sig.ops)
+        e = sig.canonical_tuple(op.id, [rng.choice(pool) for _ in range(op.arity)])
+        if e not in pool:
+            pool.append(e)
+    return pool
+
+
+@pytest.mark.parametrize("name", ["sig_bag", "sig_server", "sig_mixed", "sig_rotations"])
 def test_canonical_forms_of_terms_match_enumeration(name, request):
+    # Terms and nested elements as argument values: the hole must sort below
+    # both, as the oracle's key puts it.
     sig = request.getfixturevalue(name)
     rng = random.Random(7)
-    pool = []
-    while len(pool) < 3:
+    terms = []
+    while len(terms) < 3:
         t = rand_term(sig, rng.randrange(1, 8), rng)
-        if t not in pool:
-            pool.append(t)
-    for op in sig.ops:
-        for vals in itertools.product(pool, repeat=op.arity):
-            assert_matches_enumeration(sig, op.id, vals)
+        if t not in terms:
+            terms.append(t)
+    for pool in (terms, nested_elems(sig, rng, 3)):
+        for op in sig.ops:
+            for vals in itertools.product(pool, repeat=op.arity):
+                assert_matches_enumeration(sig, op.id, vals)
 
 
 def test_s8_canonical_forms_match_enumeration():

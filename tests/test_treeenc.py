@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import build
-from thincoalg import NonThinError, SignatureError
+from thincoalg import NonThinError, SignatureError, TermError
 from thincoalg.generate import rand_term
 from thincoalg.normalform import normalize
 from thincoalg.semantics import unfold
@@ -48,6 +48,9 @@ def test_encoding_of_small_terms(sig_poly, atoms):
     )
     pair = FNode(sig_poly.canonical_tuple("b", (atoms["Fc"], atoms["Fc"])))
     assert enc(sig_poly, pair, 2).words == frozenset({(), (0,), (1,)})
+    for tree in (enc, dom_tree):
+        with pytest.raises(TermError, match="nonnegative"):
+            tree(sig_poly, pair, -1)
     # spine of first positions with the halted side hanging off it
     assert enc(sig_poly, atoms["bspine"], 2).words == frozenset(
         {(), (0,), (1,), (0, 0), (0, 1)}
