@@ -24,6 +24,16 @@ from .signature import FElem, SignatureSpec, _orbit_min
 
 @dataclass(frozen=True)
 class Coalgebra:
+    """One element per state, its arguments the successor states.
+
+    Precondition: every tuple is the orbit minimum, as
+    ``SignatureSpec.canonical_tuple`` builds it.  The constructor checks
+    each element's op, arity and successor range, but not this.  Equality
+    and the round trip through ``dump_coalgebra`` and ``load_coalgebra``
+    hold for canonical elements only: the loader canonicalizes each row,
+    and an uncanonical tuple compares unequal to its orbit minimum.
+    """
+
     sig: SignatureSpec
     transition: tuple[FElem, ...]
 

@@ -2,8 +2,11 @@
 
 Loaders validate structure and raise the matching ``ValueError`` subclass
 with a readable message; dumpers emit canonical layouts, so load(dump(x))
-returns x.  ``dump_json`` writes deterministic bytes (sorted keys, fixed
-separators) so generated files are reproducible byte for byte.
+returns x for every signature and term, and for every coalgebra whose
+elements are canonical (see ``Coalgebra``): the loader canonicalizes each
+row, so an uncanonical one comes back as its orbit minimum.  ``dump_json``
+writes deterministic bytes (sorted keys, fixed separators) so generated
+files are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -40,6 +43,17 @@ def _load(data: Any) -> Any:
     return data
 
 
+def _is_int(x: Any) -> bool:
+    """A JSON integer.  ``bool`` is a subclass of ``int``, so ``true`` and
+    ``false`` pass ``isinstance(x, int)``; here they are no integers."""
+    return type(x) is int
+
+
+def _is_int_list(xs: Any) -> bool:
+    # ``_is_int`` inlined: every row of a loaded coalgebra passes here.
+    return isinstance(xs, list) and all(type(x) is int for x in xs)
+
+
 # -- signatures -----------------------------------------------------------
 
 
@@ -58,12 +72,10 @@ def load_signature(src: Any, arity_cap: int = DEFAULT_ARITY_CAP) -> SignatureSpe
             raise SignatureError(f"unknown op fields {sorted(unknown)}")
         if not isinstance(entry.get("id"), str):
             raise SignatureError("op 'id' must be a string")
-        if not isinstance(entry.get("arity"), int):
+        if not _is_int(entry.get("arity")):
             raise SignatureError(f"op {entry.get('id')!r}: 'arity' must be an integer")
         gens = entry.get("generators", [])
-        if not isinstance(gens, list) or not all(
-            isinstance(g, list) and all(isinstance(k, int) for k in g) for g in gens
-        ):
+        if not isinstance(gens, list) or not all(map(_is_int_list, gens)):
             raise SignatureError(
                 f"op {entry['id']!r}: 'generators' must be a list of integer lists"
             )
@@ -108,7 +120,7 @@ def load_coalgebra(
         else:
             sig = load_signature(ref, arity_cap)
     n = data.get("states")
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise CoalgebraError("'states' must be a nonnegative integer")
     rows = data.get("transitions")
     if not isinstance(rows, list) or len(rows) != n:
@@ -118,12 +130,12 @@ def load_coalgebra(
         if not isinstance(row, dict) or not isinstance(row.get("op"), str):
             raise CoalgebraError(f"state {s}: transition needs an 'op' string")
         tup = row.get("tuple", [])
-        if not isinstance(tup, list) or not all(isinstance(x, int) for x in tup):
+        if not _is_int_list(tup):
             raise CoalgebraError(f"state {s}: 'tuple' must be a list of integers")
         transitions.append(sig.canonical_tuple(row["op"], tup))
     coalg = Coalgebra(sig, tuple(transitions))
     root = data.get("root")
-    if root is not None and not isinstance(root, int):
+    if root is not None and not _is_int(root):
         raise CoalgebraError("'root' must be an integer")
     if root is not None and not 0 <= root < n:
         raise CoalgebraError(f"root {root} out of range")
@@ -176,7 +188,7 @@ def _open_ctx(data: Any) -> tuple:
     """Check a context before its sides; returns its build frame."""
     if not isinstance(data, dict) or not isinstance(data.get("op"), str):
         raise TermError("context needs an 'op' string")
-    if not isinstance(data.get("hole"), int):
+    if not _is_int(data.get("hole")):
         raise TermError(f"context over {data.get('op')!r} needs an integer 'hole'")
     sides = data.get("sides", [])
     if not isinstance(sides, list):

@@ -257,7 +257,7 @@ def enumerate_terms(sig: SignatureSpec, size_bound: int) -> list[Term]:
         for total_ctx in range(1, n):
             for count in range(1, total_ctx + 1):
                 for sizes in _compositions(total_ctx, count):
-                    pools = [sorted(ctxs[m], key=lambda c: c.sort_key) for m in sizes]
+                    pools = [sorted(ctxs[m]) for m in sizes]
                     for combo in itertools.product(*pools):
                         for plen in range(count):
                             g = GNode(LassoStream(combo[:plen], combo[plen:]))

@@ -21,8 +21,11 @@ inside each orbit are sorted; any other group (a rotation of three or more
 positions, a dihedral group, ...) takes the least image under its elements.
 Groups are still enumerated when the signature is built, which is
 exponential in the arity, so arities stay capped (default 8, see
-``DEFAULT_ARITY_CAP``).  Argument values must be totally ordered, natively
-(ints, strings, terms) or, for nested elements, through ``sort_key``.
+``DEFAULT_ARITY_CAP``).  Argument values must be totally ordered (ints,
+strings, terms, nested elements).
+
+Elements and contexts are named tuples ``(op, args)`` and ``(op, hole,
+sides)``, so they hash, compare, order and pickle as the tuples they are.
 """
 
 from __future__ import annotations
@@ -30,20 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial, prod
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import SignatureError
 
 DEFAULT_ARITY_CAP = 8
 
 Perm = tuple[int, ...]
-
-
-def value_key(x: Any):
-    """Sort key for argument values: the value itself for scalars and terms
-    (a term is its own ``sort_key``), ``sort_key`` for nested elements."""
-    key = getattr(x, "sort_key", None)
-    return x if key is None else key
 
 
 def identity_perm(arity: int) -> Perm:
@@ -166,60 +162,32 @@ class OperationSymbol:
     generators: tuple[Perm, ...] = ()
 
 
-@dataclass(frozen=True)
-class FElem:
+class FElem(NamedTuple):
     """A branching value: op applied to a canonical argument tuple.
 
     Construct through ``SignatureSpec.canonical_tuple`` so the tuple is the
-    orbit minimum; direct construction skips canonicalization.  Coalgebras
-    hold one per state, so the class is slotted and keeps nothing else.
+    orbit minimum; direct construction skips canonicalization.
     """
-
-    __slots__ = ("op", "args")
 
     op: str
     args: tuple
-
-    def __reduce__(self):
-        return FElem, (self.op, self.args)
-
-    @property
-    def sort_key(self):
-        return (self.op, tuple(value_key(x) for x in self.args))
-
-    def __lt__(self, other: "FElem") -> bool:
-        return self.sort_key < other.sort_key
 
     def base(self) -> frozenset:
         """The set of argument values."""
         return frozenset(self.args)
 
 
-@dataclass(frozen=True)
-class ContextElem:
+class ContextElem(NamedTuple):
     """A branching value with one argument replaced by a hole.
 
     ``hole`` is the canonical hole position and ``sides`` lists the remaining
     arguments in position order.  Construct through
-    ``SignatureSpec.canonical_context``.  Slotted; weakly referable so that
-    the contexts of term lassos can be interned.
+    ``SignatureSpec.canonical_context``.
     """
-
-    __slots__ = ("op", "hole", "sides", "__weakref__")
 
     op: str
     hole: int
     sides: tuple
-
-    def __reduce__(self):
-        return ContextElem, (self.op, self.hole, self.sides)
-
-    @property
-    def sort_key(self):
-        return (self.op, self.hole, tuple(value_key(x) for x in self.sides))
-
-    def __lt__(self, other: "ContextElem") -> bool:
-        return self.sort_key < other.sort_key
 
     def base(self) -> frozenset:
         """The set of side values (the hole does not count)."""
@@ -228,17 +196,14 @@ class ContextElem:
 
 class _Hole:
     """The marker a context's hole holds while it is canonicalized: it sorts
-    below every value, and is its own ``sort_key`` for nested elements."""
+    below every value.  ``__gt__`` answers the reflected comparisons a
+    tuple or an element makes against it."""
 
     def __lt__(self, other) -> bool:
         return other is not self
 
     def __gt__(self, other) -> bool:
         return False
-
-    @property
-    def sort_key(self) -> "_Hole":
-        return self
 
 
 _HOLE = _Hole()
@@ -402,7 +367,7 @@ class SignatureSpec:
         for u, x in enumerate(elem.args):
             ctx = self.canonical_context(elem.op, u, elem.args[:u] + elem.args[u + 1 :])
             out.add((ctx, x))
-        return sorted(out, key=lambda p: (p[0].sort_key, value_key(p[1])))
+        return sorted(out)
 
     def map_elem(self, elem: FElem, f: Callable) -> FElem:
         """Apply ``f`` to every argument and re-canonicalize."""

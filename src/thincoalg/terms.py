@@ -8,9 +8,9 @@ rotation alignment, so two lassos are structurally equal exactly when they
 denote the same stream.
 
 Terms are hash-consed (Filliâtre & Conchon, "Type-safe modular hash-consing",
-ML 2006).  ``FNode``, ``GNode`` and ``LassoStream`` values, and the contexts a
-lasso holds, live in weak unique tables keyed by their op, hole and child
-identities, looked up after canonicalization.  Two structurally equal terms
+ML 2006).  ``FNode``, ``GNode`` and ``LassoStream`` values live in weak unique
+tables keyed by their element, stream or contexts, whose terms compare by
+identity, looked up after canonicalization.  Two structurally equal terms
 are therefore the same object: ``==`` is identity and ``hash`` is read from
 the node, both O(1).  The hash keeps the value the structural hash always
 had, and size, depth and rank are computed bottom-up when a node is built.
@@ -19,8 +19,7 @@ A term nobody holds leaves its table.  Terms are immutable.
 Terms are totally ordered: branching nodes before stream nodes, then by op
 id and arguments, or by the prefix and period contexts, lexicographically.
 ``term_compare`` follows the first difference of two terms down one node
-pair at a time, without recursion, so any depth compares; a term is its own
-``sort_key``.
+pair at a time, without recursion, so any depth compares.
 
 Ranks order terms by how their stream nodes nest.  The major component counts
 stream depth (a stream node is one more than the largest major among the side
@@ -64,11 +63,6 @@ class Term:
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    @property
-    def sort_key(self) -> "Term":
-        """Terms order natively (see ``term_compare``)."""
-        return self
 
     def __lt__(self, other):
         if not isinstance(other, Term):
@@ -145,18 +139,7 @@ class _UniqueTable:
 _FNODES = _UniqueTable()
 _GNODES = _UniqueTable()
 _STREAMS = _UniqueTable()
-_CONTEXTS = _UniqueTable()
 _TABLES_LOCK = RLock()
-
-
-def _intern_context(ctx: ContextElem) -> ContextElem:
-    key = (ctx.op, ctx.hole, ctx.sides)
-    with _TABLES_LOCK:
-        got = _CONTEXTS.get(key)
-        if got is None:
-            _CONTEXTS.add(key, ctx)
-            got = ctx
-    return got
 
 
 class LassoStream:
@@ -177,7 +160,7 @@ class LassoStream:
         while prefix and prefix[-1] == period[-1]:
             prefix = prefix[:-1]
             period = period[-1:] + period[:-1]
-        key = (tuple(map(_intern_context, prefix)), tuple(map(_intern_context, period)))
+        key = (prefix, period)
         with _TABLES_LOCK:
             got = _STREAMS.get(key)
             if got is None:
@@ -222,9 +205,8 @@ class FNode(Term):
     __slots__ = ("elem",)
 
     def __new__(cls, elem: FElem) -> "FNode":
-        key = (elem.op, elem.args)
         with _TABLES_LOCK:
-            node = _FNODES.get(key)
+            node = _FNODES.get(elem)
             if node is None:
                 node = object.__new__(cls)
                 major = minor = size = depth = 0
@@ -234,9 +216,9 @@ class FNode(Term):
                     size += a._size
                     depth = max(depth, a._depth)
                 _set_elem(node, elem)
-                # hash(key) == hash(elem): this is the dataclass hash of (elem,).
-                _fill(node, hash((key,)), major, minor + 1, size + 1, depth + 1)
-                _FNODES.add(key, node)
+                # hash((elem,)) is the hash FNode had as a one-field dataclass.
+                _fill(node, hash((elem,)), major, minor + 1, size + 1, depth + 1)
+                _FNODES.add(elem, node)
         return node
 
     def __reduce__(self):

@@ -3,9 +3,11 @@
 Every other module gets its elements and contexts from the canonicalizing
 constructors of ``SignatureSpec``, so each one is an orbit minimum.
 Standard library only (``ast``).  A module fails the gate when it calls
-either class, or hands either class to a call other than ``isinstance`` or
-``issubclass`` (``map(FElem, ...)``, ``object.__new__(FElem)``).  Type
-annotations may name the classes freely.
+either class, hands either class to a call other than ``isinstance`` or
+``issubclass`` (``map(FElem, ...)``, ``object.__new__(FElem)``), or calls
+``_make`` or ``_replace``, the named-tuple methods that build a new element
+from any tuple or any element (``FElem._make(...)``, ``e._replace(...)``).
+Type annotations may name the classes freely.
 """
 
 import ast
@@ -17,6 +19,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "thincoalg"
 
 CLASSES = {"FElem", "ContextElem"}
 TYPE_CHECKS = {"isinstance", "issubclass"}
+TUPLE_BUILDERS = {"_make", "_replace"}
 GATED = sorted(p.name for p in SRC.glob("*.py") if p.name != "signature.py")
 
 
@@ -37,7 +40,7 @@ def element_constructions(tree):
             continue
         func = _name(node.func)
         passed = [*node.args, *(k.value for k in node.keywords)]
-        if func in CLASSES or (
+        if func in CLASSES or func in TUPLE_BUILDERS or (
             func not in TYPE_CHECKS and any(_name(a) in CLASSES for a in passed)
         ):
             lines.append(node.lineno)
@@ -75,5 +78,11 @@ def bare(args):
 def checks(x) -> FElem:
     ok = isinstance(x, (FElem, ContextElem)) or issubclass(type(x), FElem)
     return x if ok else None
+
+def made(pair):
+    return FElem._make(pair)
+
+def replaced(ctx, sides):
+    return ctx._replace(sides=sides)
 '''
-    assert element_constructions(ast.parse(src)) == [6, 9, 12, 15]
+    assert element_constructions(ast.parse(src)) == [6, 9, 12, 15, 22, 25]

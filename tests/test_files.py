@@ -9,7 +9,13 @@ import jsonschema
 import pytest
 from referencing import Registry, Resource
 
-from thincoalg import CoalgebraError, SignatureError, TermError
+from thincoalg import (
+    CoalgebraError,
+    OperationSymbol,
+    SignatureError,
+    SignatureSpec,
+    TermError,
+)
 from thincoalg.coalgebra import Coalgebra, FinitePath
 from thincoalg.files import (
     dump_coalgebra,
@@ -23,7 +29,7 @@ from thincoalg.files import (
     load_signature,
     load_term,
 )
-from thincoalg.generate import rand_term
+from thincoalg.generate import gen_coalgebra, rand_term
 from thincoalg.thinness import is_thin
 
 
@@ -59,10 +65,25 @@ def test_signature_round_trip(sig_poly, sig_bag, sig_server):
         assert load_signature(dump_signature(sig)) == sig
 
 
-def test_coalgebra_round_trip(server_pc, bag_ss, bag_tree):
-    for pc in (server_pc, bag_ss, bag_tree):
+def test_coalgebra_round_trip(server_pc, bag_ss, bag_tree, sig_bag, sig_server):
+    # Canonical coalgebras, from the fixtures and from the generator over
+    # bags, a server and rotation groups (C_3 and D_6, whose orbit minima
+    # are least images, not sorted orbits), come back equal.
+    rotations = SignatureSpec(
+        [
+            OperationSymbol("z", 0),
+            OperationSymbol("c3", 3, ((1, 2, 0),)),
+            OperationSymbol("d6", 6, ((1, 2, 3, 4, 5, 0), (5, 4, 3, 2, 1, 0))),
+        ]
+    )
+    generated = [
+        gen_coalgebra(sig, n, seed, root=n - 1)
+        for sig in (sig_bag, sig_server, rotations)
+        for n, seed in ((1, 1), (7, 2), (60, 3))
+    ]
+    for pc in (server_pc, bag_ss, bag_tree, *generated):
         doc = dump_coalgebra(pc.coalg, root=pc.root)
-        coalg, root = load_coalgebra(doc)
+        coalg, root = load_coalgebra(json.loads(json.dumps(doc)))
         assert coalg == pc.coalg
         assert root == pc.root
 
@@ -135,6 +156,11 @@ def test_signature_loader_rejections():
         load_signature({"ops": [{"id": "c", "arity": "0"}]})
     with pytest.raises(SignatureError, match="generators"):
         load_signature({"ops": [{"id": "u", "arity": 1, "generators": [0]}]})
+    # JSON booleans are no integers, although Python counts bool as int.
+    with pytest.raises(SignatureError, match="'arity'"):
+        load_signature({"ops": [{"id": "u", "arity": True}]})
+    with pytest.raises(SignatureError, match="generators"):
+        load_signature({"ops": [{"id": "p", "arity": 2, "generators": [[True, False]]}]})
 
 
 def test_coalgebra_loader_rejections(sig_poly, sig_bag):
@@ -156,6 +182,19 @@ def test_coalgebra_loader_rejections(sig_poly, sig_bag):
     with pytest.raises(CoalgebraError, match="root"):
         load_coalgebra(
             {"states": 1, "transitions": [{"op": "u", "tuple": [0]}], "root": 1},
+            sig=sig_poly,
+        )
+    # JSON booleans are no integers, although Python counts bool as int.
+    with pytest.raises(CoalgebraError, match="'states'"):
+        load_coalgebra({"states": True, "transitions": [{"op": "c"}]}, sig=sig_poly)
+    with pytest.raises(CoalgebraError, match="'tuple'"):
+        load_coalgebra(
+            {"states": 1, "transitions": [{"op": "u", "tuple": [False]}]},
+            sig=sig_poly,
+        )
+    with pytest.raises(CoalgebraError, match="'root' must be an integer"):
+        load_coalgebra(
+            {"states": 1, "transitions": [{"op": "u", "tuple": [0]}], "root": False},
             sig=sig_poly,
         )
     # The first error raised and its exact message.  Ops and arities are
@@ -190,6 +229,8 @@ def test_term_loader_rejections(sig_poly):
         load_term({"g": {"period": []}}, sig_poly)
     with pytest.raises(TermError, match="hole"):
         load_term({"g": {"period": [{"op": "u"}]}}, sig_poly)
+    with pytest.raises(TermError, match="integer 'hole'"):
+        load_term({"g": {"period": [{"op": "u", "hole": False}]}}, sig_poly)
     with pytest.raises(TermError, match="'f' or 'g'"):
         load_term({"x": {}}, sig_poly)
 

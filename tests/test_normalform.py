@@ -200,7 +200,7 @@ def _reference_extract_normal(pc):
                     step = min(
                         cands,
                         key=lambda p: (
-                            sig.map_ctx(p[0], memo.__getitem__).sort_key,
+                            sig.map_ctx(p[0], memo.__getitem__),
                             memo[p[1]],
                         ),
                     )
@@ -367,8 +367,7 @@ def test_enumerated_pool_of_size_three(sig_poly, atoms):
             FNode(sig_poly.canonical_tuple("u", (uomega,))),
             GNode(LassoStream((), (sig_poly.canonical_context("b", 0, (Fc,)),))),
             GNode(LassoStream((), (sig_poly.canonical_context("b", 1, (Fc,)),))),
-        ],
-        key=lambda t: t.sort_key,
+        ]
     )
     assert enumerate_terms(sig_poly, 3) == want
 
@@ -378,8 +377,7 @@ def test_enumerated_pool_grows_monotonically(sig_poly):
     assert [len(sizes[n]) for n in (3, 4, 5, 6)] == [8, 29, 106, 429]
     assert set(sizes[3]) <= set(sizes[4]) <= set(sizes[5])
     for n, pool in sizes.items():
-        keys = [t.sort_key for t in pool]
-        assert keys == sorted(keys)
+        assert pool == sorted(pool)
         assert all(term_size(t) <= n for t in pool)
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thincoalg import (
+    ContextElem,
     FElem,
     OperationSymbol,
     PermGroup,
@@ -17,7 +19,10 @@ from thincoalg import (
     enumerate_group,
 )
 from thincoalg.generate import rand_term
+from thincoalg.normalform import enumerate_terms
 from thincoalg.signature import (
+    _HOLE,
+    _orbit_min,
     apply_perm,
     check_perm,
     compose_perms,
@@ -25,8 +30,8 @@ from thincoalg.signature import (
     invert_perm,
     position_orbits,
     sortable_orbits,
-    value_key,
 )
+from thincoalg.terms import GNode
 
 
 # -- permutations ---------------------------------------------------------
@@ -220,7 +225,7 @@ def reference_tuple(group, vals):
 
 def _hole_key(full):
     # The hole (None) sorts below every argument value.
-    return tuple((0,) if v is None else (1, value_key(v)) for v in full)
+    return tuple((0,) if v is None else (1, v) for v in full)
 
 
 def reference_context(group, hole, sides):
@@ -336,6 +341,132 @@ def test_s8_canonical_forms_match_enumeration():
     sides = vals[:3] + vals[4:]
     ctx = sig.canonical_context("s8", 3, sides)
     assert (ctx.hole, ctx.sides) == reference_context(group, 3, sides)
+
+
+# -- native value order against the old sort keys ------------------------
+
+
+def old_sort_key(e):
+    """``FElem.sort_key`` and ``ContextElem.sort_key`` as they were before
+    elements became tuples: the op, the hole, and the keys of the values."""
+    if isinstance(e, FElem):
+        return (e.op, tuple(old_value_key(x) for x in e.args))
+    return (e.op, e.hole, tuple(old_value_key(x) for x in e.sides))
+
+
+def old_value_key(x):
+    """``value_key`` as it was: nested elements and contexts by their sort
+    key; ints, terms and ``_HOLE`` as themselves."""
+    return old_sort_key(x) if isinstance(x, (FElem, ContextElem)) else x
+
+
+def old_tuple_key(vals):
+    return tuple(old_value_key(x) for x in vals)
+
+
+@pytest.fixture(scope="module")
+def value_pools(sig_mixed):
+    """Pools of mutually comparable argument values, each with ``_HOLE``:
+    ints, terms, elements over ints, over terms and over elements, and
+    contexts over terms."""
+    rng = random.Random(11)
+    terms = []
+    while len(terms) < 4:
+        t = rand_term(sig_mixed, rng.randrange(1, 8), rng)
+        if t not in terms:
+            terms.append(t)
+    ops = [op for op in sig_mixed.ops if op.arity > 0]
+
+    def elems(pool):
+        out = [sig_mixed.canonical_tuple("n0", ())]
+        for _ in range(6):
+            op = rng.choice(ops)
+            out.append(sig_mixed.canonical_tuple(op.id, rng.choices(pool, k=op.arity)))
+        return out
+
+    contexts = []
+    for _ in range(6):
+        op = rng.choice(ops)
+        sides = rng.choices(terms, k=op.arity - 1)
+        contexts.append(sig_mixed.canonical_context(op.id, rng.randrange(op.arity), sides))
+    pools = {
+        "ints": [0, 1, 2, 3],
+        "terms": terms,
+        "int elems": elems(range(3)),
+        "term elems": elems(terms),
+        "nested elems": nested_elems(sig_mixed, rng, 7),
+        "contexts": contexts,
+    }
+    return {name: pool + [_HOLE] for name, pool in pools.items()}
+
+
+@pytest.mark.parametrize(
+    "name", ["ints", "terms", "int elems", "term elems", "nested elems", "contexts"]
+)
+def test_native_order_is_the_old_key_order(name, value_pools, sig_mixed, sig_rotations):
+    pool = value_pools[name]
+    rng = random.Random(name)
+    for x in pool:
+        for y in pool:
+            kx, ky = old_value_key(x), old_value_key(y)
+            assert (x < y, y < x) == (kx < ky, ky < kx)
+    for sig in (sig_mixed, sig_rotations):
+        for op in sig.ops:
+            group, record = sig.group(op.id), sig._records[op.id]
+            for _ in range(20):
+                vals = tuple(rng.choices(pool, k=op.arity))
+                images = [apply_perm(g, vals) for g in group]
+                least = min(images, key=old_tuple_key)
+                assert min(images) == least
+                assert _orbit_min(record, vals) == least
+                if record[1] is not None:
+                    for orb in record[1]:
+                        here = [vals[k] for k in orb]
+                        assert sorted(here) == sorted(here, key=old_value_key)
+
+
+@pytest.mark.parametrize("name", ["ints", "terms", "int elems", "term elems", "nested elems"])
+def test_decompositions_come_in_the_old_key_order(name, value_pools, sig_mixed, sig_rotations):
+    pool = value_pools[name][:-1]
+    rng = random.Random(name)
+    for sig in (sig_mixed, sig_rotations):
+        for op in sig.ops:
+            for _ in range(10):
+                elem = sig.canonical_tuple(op.id, rng.choices(pool, k=op.arity))
+                pairs = {
+                    (sig.canonical_context(op.id, u, elem.args[:u] + elem.args[u + 1 :]), x)
+                    for u, x in enumerate(elem.args)
+                }
+                want = sorted(pairs, key=lambda p: (old_sort_key(p[0]), old_value_key(p[1])))
+                assert sig.decompositions(elem) == want
+
+
+@pytest.mark.parametrize("name", ["sig_poly", "sig_bag", "sig_server", "sig_mixed"])
+def test_enumerated_contexts_sort_in_the_old_key_order(name, request):
+    sig = request.getfixturevalue(name)
+    # The contexts of every lasso, and those a branching node decomposes into.
+    ctxs = set()
+    for t in enumerate_terms(sig, 6):
+        if isinstance(t, GNode):
+            ctxs.update(t.stream.prefix + t.stream.period)
+        else:
+            ctxs.update(c for c, _ in sig.decompositions(t.elem))
+    assert len(ctxs) >= 20
+    assert sorted(ctxs) == sorted(ctxs, key=old_sort_key)
+
+
+def test_elements_hash_and_pickle_as_their_tuples(value_pools):
+    values = [
+        v for pool in value_pools.values() for v in pool if isinstance(v, (FElem, ContextElem))
+    ]
+    assert len(values) > 20
+    for v in values:
+        if isinstance(v, FElem):
+            assert hash(v) == hash((v.op, v.args))
+        else:
+            assert hash(v) == hash((v.op, v.hole, v.sides))
+        back = pickle.loads(pickle.dumps(v))
+        assert back == v and type(back) is type(v)
 
 
 # -- canonical contexts ---------------------------------------------------
