@@ -323,6 +323,16 @@ def _weight_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        size = int(text)
+        if size > 0:
+            return size
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
 def _size_list(text: str) -> list[int]:
     try:
         sizes = [int(s) for s in text.split(",")]
@@ -406,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", parents=[common], help="write a random input file")
     p.add_argument("kind", choices=["coalgebra", "term"])
     p.add_argument("--sig", required=True)
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("-o", "--out", required=True)
     p.add_argument("--weights", type=_weight_list,

@@ -2,32 +2,36 @@
 
 ``state_ranks`` computes, per reachable state of a thin coalgebra, the least
 rank of any term unfolding to that state's behaviour, together with which node
-kind attains it.  It folds over the components and loop flags of the thinness
-check's reachable condensation (``thinness._require_thin``), in reverse
-topological order:
+kind attains it.  It is an integer fold over the components and loop flags of
+the thinness check's reachable condensation (``thinness._require_thin``), in
+reverse topological order:
 
 * A state inside a loop component always takes a stream node.  Its spine is
   the loop itself, the only spine that avoids mentioning a same-component
-  state as a side, so its major is one more than the largest major among
-  out-of-component successors of the loop.
+  state as a side, so its value is the largest major among out-of-component
+  successors of the loop, and its major is one more.  Its spine step is the
+  one position whose successor stays in the component.
 * A lone state compares the branching candidate (largest successor major,
   one more than the largest successor minor) with the stream candidate
-  ``(1 + g, 0)``, where ``g`` is the least ``k`` such that some
-  decomposition keeps every side at major at most ``k`` and continues into a
-  spine of value at most ``k``: the least, over the decompositions that
-  continue into a spine, of the largest of the spine value and the side
-  majors.  The decompositions attaining it form the state's spine entries.
+  ``(1 + g, 0)``.  Each position ``u`` whose successor has a value scores
+  the larger of that value and the largest major at the other positions
+  (from the top two majors, duplicates counted); ``g`` is the least score.
 
-``extract_normal`` checks its input for thinness, minimizes, and reads a term
-off the quotient's table; only ``state_ranks`` analyses the quotient.  Every
-``"g"`` state has exactly one spine step: a loop member by thinness, and a
-lone one of value ``k`` because ``k + 1`` is at most its branching major
-(stream minor 0, branching minor at least 1).  Sides of a best decomposition
-have major at most ``k``, so its next state ``x`` is the only successor of
-major above ``k``, occurs once, and is ``"g"`` of value ``k`` in turn (an
-``"f"`` state of value at most ``k`` has major at most ``k``).  A spine walk
-meets no choice, and extraction makes none: equal behaviours have
-isomorphic minimal quotients, so they extract the same term.
+Every ``"g"`` state has exactly one spine step: a loop member by thinness,
+and a lone one of value ``k`` because ``k + 1`` is at most its branching major
+(stream minor 0, branching minor at least 1).  The other positions of a best
+step have major at most ``k``, so its successor ``x`` is the only one of major
+above ``k``: exactly one position attains ``k``, and ``x`` is ``"g"`` of value
+``k`` in turn (an ``"f"`` state of value at most ``k`` has major at most
+``k``).  A spine walk meets no choice.
+
+``extract_normal`` reads the term off its input's table, by induction on
+rank: an ``"f"`` state's term is the canonical tuple of its successors'
+terms, and a ``"g"`` state's term is its forced spine, walked until a state
+repeats, with the sides replaced by their terms.  Each step depends only on
+behaviours, terms are hash-consed, and ``LassoStream`` keeps the period
+primitive and the prefix shortest, so equal behaviours extract the same term
+from any presentation, minimal or not.
 ``brute_force_normal`` is the independent oracle: enumerate every candidate
 term up to a size bound and replay the inductive definition of normality
 over the pool.
@@ -39,7 +43,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .coalgebra import PointedCoalgebra, canonical_key, minimize
+from .coalgebra import PointedCoalgebra, canonical_key
 from .errors import TermError
 from .semantics import unfold
 from .signature import ContextElem, SignatureSpec
@@ -60,16 +64,16 @@ from .thinness import _require_thin
 class StateRank:
     """Rank data for one state.
 
-    ``kind`` is "f" or "g".  ``g_value`` and ``spine`` are set for every
-    state that reaches a cycle: ``spine`` lists the decompositions (context
-    over state ids, next state) that attain ``g_value``.  A "g" state has
-    exactly one, the step extraction takes; an "f" state may have several.
+    ``kind`` is "f" or "g".  ``g_value`` is set for every state that reaches
+    a cycle: the least value of a stream node at that state.  ``spine`` is
+    set for a "g" state only: the argument position of its one spine step,
+    the step extraction takes.
     """
 
     rank: Rank
     kind: str
     g_value: int | None = None
-    spine: tuple[tuple[ContextElem, int], ...] = ()
+    spine: int | None = None
 
 
 @dataclass(frozen=True)
@@ -91,123 +95,102 @@ def state_ranks(pc: PointedCoalgebra) -> StateRankTable:
     Raises ``NonThinError`` on non-thin input.
     """
     comps, comp, looped = _require_thin(pc)
-    c = pc.coalg
-    sig = c.sig
+    trans = pc.coalg.transition
 
     entries: dict[int, StateRank] = {}
     for ci, members in enumerate(comps):
         if looped[ci]:
             outside = 0
             for s in members:
-                for t in c.transition[s].args:
+                for t in trans[s].args:
                     if comp[t] != ci:
                         outside = max(outside, entries[t].rank.major)
             r = Rank(outside + 1, 0)
             for s in members:
-                steps = [
-                    (ctx, x)
-                    for ctx, x in sig.decompositions(c.transition[s])
-                    if comp[x] == ci
-                ]
-                if len(steps) != 1:
-                    raise AssertionError("thin loop state without unique loop step")
-                entries[s] = StateRank(r, "g", outside, tuple(steps))
+                u = next(u for u, t in enumerate(trans[s].args) if comp[t] == ci)
+                entries[s] = StateRank(r, "g", outside, u)
             continue
 
         (s,) = members
-        succ = sorted(set(c.transition[s].args))
-        if succ:
-            f_rank = Rank(
-                max(entries[t].rank.major for t in succ),
-                1 + max(entries[t].rank.minor for t in succ),
-            )
-        else:
-            f_rank = Rank(0, 1)
-
-        through = [
-            (ctx, x)
-            for ctx, x in sig.decompositions(c.transition[s])
-            if entries[x].g_value is not None
-        ]
-        if not through:
-            entries[s] = StateRank(f_rank, "f")
+        succ = [entries[t] for t in trans[s].args]
+        if not succ:
+            entries[s] = StateRank(Rank(0, 1), "f")
             continue
-
-        # A decomposition fits under k exactly when k is at least its spine
-        # value and every side's major, so the least k is the least such max.
-        values = [
-            max([entries[x].g_value, *(entries[y].rank.major for y in ctx.sides)])
-            for ctx, x in through
-        ]
-        g_val = min(values)
-        best = tuple(p for p, v in zip(through, values) if v == g_val)
-        g_rank = Rank(g_val + 1, 0)
-        if g_rank < f_rank:
-            entries[s] = StateRank(g_rank, "g", g_val, best)
+        majors = [e.rank.major for e in succ]
+        *_, second, top = [0, *sorted(majors)]
+        f_rank = Rank(top, 1 + max(e.rank.minor for e in succ))
+        g_val = spine = None
+        for u, e in enumerate(succ):
+            if e.g_value is not None:
+                score = max(e.g_value, second if majors[u] == top else top)
+                if g_val is None or score < g_val:
+                    g_val, spine = score, u
+        if g_val is not None and Rank(g_val + 1, 0) < f_rank:
+            entries[s] = StateRank(Rank(g_val + 1, 0), "g", g_val, spine)
         else:
-            entries[s] = StateRank(f_rank, "f", g_val, best)
+            entries[s] = StateRank(f_rank, "f", g_val)
     return StateRankTable(pc.root, entries)
 
 
 def extract_normal(pc: PointedCoalgebra) -> Term:
     """The normal term of a thin pointed coalgebra.
 
-    Minimizes, ranks, then follows the best kind at every state.  A stream
-    state's spine has one step per state, so its walk is forced: collect
-    the contexts until a state repeats, which closes the lasso.
-    Deterministic and invariant under behavioural equivalence of the input.
+    Ranks the input, then follows the best kind at every state.  A stream
+    state's spine has one step per state, so its walk is forced: follow the
+    spine positions until a state repeats, which closes the lasso, and build
+    each context once, over the terms of its sides.  Deterministic, and the
+    same term object for behaviourally equivalent inputs.
 
     States are extracted from an explicit stack: a state is built once every
     state its term mentions is built.  Sides of a lone state sit strictly
     below it, so these demands never loop back.
     """
-    _require_thin(pc)
-    mpc, _ = minimize(pc)
-    table = state_ranks(mpc)
-    c = mpc.coalg
-    sig = c.sig
+    table = state_ranks(pc).entries
+    trans = pc.coalg.transition
+    sig = pc.coalg.sig
+
+    def sides(w: int) -> tuple[int, ...]:
+        u = table[w].spine
+        return trans[w].args[:u] + trans[w].args[u + 1 :]
 
     memo: dict[int, Term] = {}
-    # Walked spines of stream states: state -> (contexts, start of period).
-    lassos: dict[int, tuple[list[ContextElem], int]] = {}
-
-    def walk(cur: int) -> tuple[list[ContextElem], int]:
-        steps: list[ContextElem] = []
-        seen = {cur: 0}
-        while True:
-            ((ctx, cur),) = table[cur].spine
-            steps.append(ctx)
-            if cur in seen:
-                return steps, seen[cur]
-            seen[cur] = len(steps)
-
-    stack = [mpc.root]
+    # Walked spines of stream states: state -> (states walked, start of period).
+    lassos: dict[int, tuple[list[int], int]] = {}
+    stack = [pc.root]
     while stack:
         s = stack[-1]
         if s in memo:
             stack.pop()
             continue
         if table[s].kind == "f":
-            need = [x for x in c.transition[s].args if x not in memo]
+            need = [x for x in trans[s].args if x not in memo]
         else:
             if s not in lassos:
-                lassos[s] = walk(s)
-            need = [x for ctx in lassos[s][0] for x in ctx.sides if x not in memo]
+                walked, seen, cur = [], {}, s
+                while cur not in seen:
+                    seen[cur] = len(walked)
+                    walked.append(cur)
+                    cur = trans[cur].args[table[cur].spine]
+                lassos[s] = walked, seen[cur]
+            need = [x for w in lassos[s][0] for x in sides(w) if x not in memo]
         if need:
             stack.extend(need)
             continue
         stack.pop()
         if table[s].kind == "f":
-            memo[s] = FNode(sig.map_elem(c.transition[s], memo.__getitem__))
+            memo[s] = FNode(sig.map_elem(trans[s], memo.__getitem__))
         else:
-            steps, cut = lassos.pop(s)
-            ctxs = tuple(sig.map_ctx(ctx, memo.__getitem__) for ctx in steps)
+            walked, cut = lassos.pop(s)
+            ctxs = tuple(
+                sig.canonical_context(trans[w].op, table[w].spine, [memo[x] for x in sides(w)])
+                for w in walked
+            )
             memo[s] = GNode(LassoStream(ctxs[:cut], ctxs[cut:]))
-    return memo[mpc.root]
+    return memo[pc.root]
 
 
 def normalize(sig: SignatureSpec, t: Term) -> Term:
-    """The normal form of a finitary term: unfold, minimize, extract."""
+    """The normal form of a finitary term: unfold, rank, extract."""
     return extract_normal(unfold(sig, t).pc)
 
 

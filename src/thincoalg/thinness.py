@@ -14,9 +14,10 @@ that is a loop while it counts in-component edges, stopping at the first
 offender.  Its consumers fold over that result instead of searching again:
 ``is_thin`` builds the witness from it, ``count_infinite_paths_class`` (the
 census) folds path counts over it, and, through the ``_require_thin`` guard,
-``normalform.state_ranks`` and ``treeenc.cb_rank`` fold ranks over it while
-``normalform.extract_normal`` checks its input with it.  All of it runs in
-time linear in states plus edges.
+``normalform.state_ranks`` and ``treeenc.cb_rank`` fold ranks over it, so
+``normalform.extract_normal``, which reads its term off ``state_ranks`` of
+its input, searches once too.  All of it runs in time linear in states plus
+edges.
 
 The witness is a shortest access path from the root to the offender and two
 cycles through it, each closed along a shortest in-component route back.  Both

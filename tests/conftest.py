@@ -3,7 +3,9 @@
 ``sig_poly`` is the rigid arity-0/1/2 signature used for tree-shaped terms,
 ``sig_bag`` its unordered-pair variant, ``sig_server`` the mixed signature
 with a three-successor operation whose last two positions commute, and
-``sig_mixed`` one operation per kind of symmetry up to arity 4.
+``sig_mixed`` one operation per kind of symmetry up to arity 4.  The
+builders below the fixtures (``build``, ``relabel``, ``blow_up``,
+``ladder_tree``) are shared by several test modules.
 """
 
 import itertools
@@ -115,3 +117,76 @@ def all_coalgebras(sig, n):
                 elems.append(e)
     for trans in itertools.product(elems, repeat=n):
         yield Coalgebra(sig, trans)
+
+
+def relabel(c, pi):
+    """The coalgebra ``c`` with state ``s`` renumbered to ``pi[s]``."""
+    trans = [None] * c.n_states
+    for s, elem in enumerate(c.transition):
+        trans[pi[s]] = c.sig.map_elem(elem, pi.__getitem__)
+    return Coalgebra(c.sig, tuple(trans))
+
+
+def blow_up(rng, c, copies=3):
+    """``copies`` copies of ``c``, renumbered at random, and the renumbering.
+
+    Copy r of state s is r * n + s; each argument goes to a random copy of
+    its target, so every copy behaves as its original.
+    """
+    n = c.n_states
+    trans = tuple(
+        c.sig.map_elem(c.transition[s], lambda t: rng.randrange(copies) * n + t)
+        for _ in range(copies)
+        for s in range(n)
+    )
+    pi = list(range(copies * n))
+    rng.shuffle(pi)
+    return relabel(Coalgebra(c.sig, trans), pi), pi
+
+
+def ladder_tree(n, rng):
+    """A thin rooted tree of about ``n`` states over c/u/b with nested loops.
+
+    A spine runs from state 0 in segments.  Four segments in ten are loops
+    of one to three states whose exit continues the spine, so the loops nest
+    one inside the next (about one loop per fourteen states); the others are
+    lone states carrying a random bush of up to twelve states.
+    """
+    trans = []
+
+    def bush(size):
+        # a random c/u/b tree of exactly ``size`` states, parents first
+        root = len(trans)
+        slots = [None]  # open argument positions; None is the bush's root
+        for i in range(size):
+            s = len(trans)
+            slot = slots.pop(rng.randrange(len(slots)))
+            if slot is not None:
+                trans[slot[0]][1][slot[1]] = s
+            left = size - i - 1  # every open slot needs one of these
+            fits = [a for a in (0, 1, 2) if (0 if left == 0 else 1) <= len(slots) + a <= left]
+            arity = rng.choice(fits)
+            trans.append(["cub"[arity], [None] * arity])
+            slots.extend((s, p) for p in range(arity))
+        return root
+
+    loops = 0
+    pending = None  # (state, position) waiting for the next spine state
+    while len(trans) < n:
+        start = len(trans)
+        if pending is not None:
+            trans[pending[0]][1][pending[1]] = start
+        if rng.random() < 0.4:
+            k = rng.randint(1, 3)
+            trans.extend(["u", [start + (i + 1) % k]] for i in range(k))
+            exit_at = start + rng.randrange(k)
+            trans[exit_at] = ["b", [trans[exit_at][1][0], None]]
+            pending = (exit_at, 1)
+            loops += 1
+        else:
+            trans.append(["b", [None, None]])
+            pending = (start, 0)
+            trans[start][1][1] = bush(rng.randint(1, 12))
+    trans[pending[0]][1][pending[1]] = len(trans)
+    trans.append(["c", []])
+    return trans, loops

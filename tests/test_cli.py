@@ -368,6 +368,18 @@ def test_gen_weights_must_match_ops(files, tmp_path):
         assert "Traceback" not in bad.stderr
 
 
+def test_gen_size_must_be_positive(files, tmp_path):
+    out = tmp_path / "s.json"
+    for kind, size in (("coalgebra", "0"), ("term", "0"), ("term", "-1"), ("term", "x")):
+        proc = run(
+            "gen", kind, "--sig", str(files["poly_sig"]),
+            "--size", size, "--seed", "1", "-o", str(out),
+        )
+        assert proc.returncode == 2, (kind, size)
+        assert proc.stderr.startswith("usage:") and "positive integer" in proc.stderr
+        assert not out.exists()
+
+
 def test_bench_reports_runs(files):
     proc = run(
         "bench", "--sig", str(files["bag_sig"]), "--sizes", "50,100", "--json"

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import all_coalgebras, build
+from conftest import all_coalgebras, blow_up, build, relabel
 from thincoalg import (
     Coalgebra,
     CoalgebraError,
@@ -468,14 +468,6 @@ def test_canonical_key_fingerprints_behaviour(sig_bag):
             assert (keys[i] == keys[j]) == beh_equal(p1, pcs[j])
 
 
-def _relabel(c, pi):
-    # State s becomes pi[s].
-    trans = [None] * c.n_states
-    for s, elem in enumerate(c.transition):
-        trans[pi[s]] = c.sig.map_elem(elem, pi.__getitem__)
-    return Coalgebra(c.sig, tuple(trans))
-
-
 def test_canonical_key_ignores_state_numbering(sig_bag, sig_server, sig_wide):
     rng = random.Random(31337)
     n = 10
@@ -484,7 +476,7 @@ def test_canonical_key_ignores_state_numbering(sig_bag, sig_server, sig_wide):
             pc = _rand_pc(rng, sig, n)
             pi = list(range(n))
             rng.shuffle(pi)
-            shuffled = PointedCoalgebra(_relabel(pc.coalg, pi), pi[pc.root])
+            shuffled = PointedCoalgebra(relabel(pc.coalg, pi), pi[pc.root])
             assert canonical_key(shuffled) == canonical_key(pc)
             # Block ids are fixed by structure, not by state numbers.
             block = _refine(pc.coalg, range(n))
@@ -515,20 +507,6 @@ def _assert_keys_match_colour_keys(pcs):
     assert len(set(zip(new, old))) == len(set(new)) == len(set(old))
 
 
-def _blow_up(rng, c, copies=3):
-    # Copy r of state s is r * n + s; each argument goes to a random copy of
-    # its target, so every copy behaves as its original.  Then renumber.
-    n = c.n_states
-    trans = tuple(
-        c.sig.map_elem(c.transition[s], lambda t: rng.randrange(copies) * n + t)
-        for _ in range(copies)
-        for s in range(n)
-    )
-    pi = list(range(copies * n))
-    rng.shuffle(pi)
-    return _relabel(Coalgebra(c.sig, trans), pi), pi
-
-
 @pytest.mark.parametrize("name", ["sig_poly", "sig_bag", "sig_server"])
 def test_key_matches_colour_key_exhaustively(name, request):
     sig = request.getfixturevalue(name)
@@ -547,7 +525,7 @@ def test_key_matches_colour_key_on_random_systems(name, request):
     rng = random.Random(8867)
     pcs = []
     for c in _merging_systems(request.getfixturevalue(name)):
-        big, pi = _blow_up(rng, c)
+        big, pi = blow_up(rng, c)
         for root in range(c.n_states):
             pcs.append(PointedCoalgebra(c, root))
             pcs.append(PointedCoalgebra(big, pi[root]))
@@ -574,7 +552,7 @@ def _loop_chain(sig, loops):
 def test_key_matches_colour_key_on_a_long_chain(sig_poly):
     chain = _loop_chain(sig_poly, 50)
     assert chain.n_states == 200
-    big, pi = _blow_up(random.Random(5), chain, copies=2)
+    big, pi = blow_up(random.Random(5), chain, copies=2)
     pcs = [PointedCoalgebra(chain, r) for r in (0, 1, 12)] + [PointedCoalgebra(big, pi[0])]
     _assert_keys_match_colour_keys(pcs)
     assert canonical_key(pcs[0]) == canonical_key(pcs[3]) != canonical_key(pcs[2])

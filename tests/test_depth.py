@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+from conftest import ladder_tree
 from thincoalg import Coalgebra, PointedCoalgebra, cb_rank, extract_normal, is_thin
 from thincoalg.files import dump_term, load_term
 from thincoalg.normalform import normalize
@@ -75,56 +76,8 @@ def test_thousand_nested_loops_round_trip(sig_poly):
     assert term_compare(t, u) == -1 and term_compare(u, t) == 1
 
 
-def _ladder_tree(n, rng):
-    """A thin rooted tree of about ``n`` states over c/u/b with nested loops.
-
-    A spine runs from state 0 in segments.  Four segments in ten are loops
-    of one to three states whose exit continues the spine, so the loops nest
-    one inside the next (about one loop per fourteen states); the others are
-    lone states carrying a random bush of up to twelve states.
-    """
-    trans = []
-
-    def bush(size):
-        # a random c/u/b tree of exactly ``size`` states, parents first
-        root = len(trans)
-        slots = [None]  # open argument positions; None is the bush's root
-        for i in range(size):
-            s = len(trans)
-            slot = slots.pop(rng.randrange(len(slots)))
-            if slot is not None:
-                trans[slot[0]][1][slot[1]] = s
-            left = size - i - 1  # every open slot needs one of these
-            fits = [a for a in (0, 1, 2) if (0 if left == 0 else 1) <= len(slots) + a <= left]
-            arity = rng.choice(fits)
-            trans.append(["cub"[arity], [None] * arity])
-            slots.extend((s, p) for p in range(arity))
-        return root
-
-    loops = 0
-    pending = None  # (state, position) waiting for the next spine state
-    while len(trans) < n:
-        start = len(trans)
-        if pending is not None:
-            trans[pending[0]][1][pending[1]] = start
-        if rng.random() < 0.4:
-            k = rng.randint(1, 3)
-            trans.extend(["u", [start + (i + 1) % k]] for i in range(k))
-            exit_at = start + rng.randrange(k)
-            trans[exit_at] = ["b", [trans[exit_at][1][0], None]]
-            pending = (exit_at, 1)
-            loops += 1
-        else:
-            trans.append(["b", [None, None]])
-            pending = (start, 0)
-            trans[start][1][1] = bush(rng.randint(1, 12))
-    trans[pending[0]][1][pending[1]] = len(trans)
-    trans.append(["c", []])
-    return trans, loops
-
-
 def test_ladder_tree_of_four_thousand_states(sig_poly):
-    raw, loops = _ladder_tree(4000, random.Random(7))
+    raw, loops = ladder_tree(4000, random.Random(7))
     coalg = Coalgebra(sig_poly, tuple(sig_poly.canonical_tuple(op, args) for op, args in raw))
     pc = PointedCoalgebra(coalg, 0)
     assert coalg.n_states >= 4000 and loops >= 200

@@ -1,15 +1,17 @@
 """Least-rank state tables, normal extraction, and the brute-force oracle."""
 
 import random
+from typing import NamedTuple
 
 import pytest
 
-from conftest import all_coalgebras, build
+from conftest import all_coalgebras, blow_up, build, ladder_tree
 from thincoalg import (
     Coalgebra,
     NonThinError,
     PointedCoalgebra,
     TermError,
+    cb_rank,
     is_thin,
 )
 from thincoalg.coalgebra import minimize, reachable_condensation
@@ -45,24 +47,26 @@ def atoms(sig_poly):
 # -- state rank tables ----------------------------------------------------
 
 
-def test_ranks_of_pure_loop(u_loop, sig_poly):
+def test_ranks_of_pure_loop(u_loop):
     table = state_ranks(u_loop)
     e = table[0]
     assert e.rank == Rank(1, 0)
     assert e.kind == "g"
     assert e.g_value == 0
-    assert e.spine == ((sig_poly.canonical_context("u", 0, ()), 0),)
+    assert e.spine == 0
     assert table.root_rank == Rank(1, 0)
 
 
-def test_ranks_of_server(server_pc, sig_server):
+def test_ranks_of_server(server_pc):
     table = state_ranks(server_pc)
     assert table[0].rank == Rank(2, 0) and table[0].kind == "g"
     assert table[1].rank == Rank(1, 0) and table[1].kind == "g"
     assert table[2].rank == Rank(0, 1) and table[2].kind == "f"
-    # the respawn loop is the unique spine through the root
-    assert table[0].spine == ((sig_server.canonical_context("spawn", 0, (1, 2)), 0),)
+    # the respawn loop, at position 0, is the unique spine through the root
+    assert table[0].spine == 0
     assert table[0].g_value == 1
+    assert table[1].spine == 0
+    assert table[2].spine is None
 
 
 def test_lone_state_prefers_the_cheaper_kind(sig_poly):
@@ -70,18 +74,87 @@ def test_lone_state_prefers_the_cheaper_kind(sig_poly):
     mixed = build(sig_poly, [("b", (1, 2)), ("c", ()), ("u", (2,))])
     e = state_ranks(mixed)[0]
     assert (e.rank, e.kind) == (Rank(1, 0), "g")
-    assert e.spine == ((sig_poly.canonical_context("b", 1, (1,)), 2),)
+    assert e.spine == 1
     # b over the loop twice: both stream spines cost more than branching
     both = build(sig_poly, [("b", (1, 1)), ("u", (1,))])
     e2 = state_ranks(both)[0]
     assert (e2.rank, e2.kind) == (Rank(1, 1), "f")
-    assert len(e2.spine) == 2
+    assert e2.g_value == 1 and e2.spine is None
 
 
 def test_state_ranks_requires_thin_input(bag_ss):
     with pytest.raises(NonThinError) as exc:
         state_ranks(bag_ss)
     assert exc.value.verdict.witness is not None
+
+
+class _RefRank(NamedTuple):
+    rank: Rank
+    kind: str
+    g_value: int | None = None
+    spine: tuple = ()
+
+
+def _reference_state_ranks(pc):
+    # The fold over decompositions that ranked states before the integer
+    # fold: every decomposition of a lone state gets a context over state
+    # ids, and ``spine`` keeps each (context, next state) that attains the
+    # state's value.  Returns state -> ``_RefRank``.
+    comps, comp, looped = _require_thin(pc)
+    c = pc.coalg
+    sig = c.sig
+
+    entries = {}
+    for ci, members in enumerate(comps):
+        if looped[ci]:
+            outside = 0
+            for s in members:
+                for t in c.transition[s].args:
+                    if comp[t] != ci:
+                        outside = max(outside, entries[t].rank.major)
+            r = Rank(outside + 1, 0)
+            for s in members:
+                steps = [
+                    (ctx, x)
+                    for ctx, x in sig.decompositions(c.transition[s])
+                    if comp[x] == ci
+                ]
+                if len(steps) != 1:
+                    raise AssertionError("thin loop state without unique loop step")
+                entries[s] = _RefRank(r, "g", outside, tuple(steps))
+            continue
+
+        (s,) = members
+        succ = sorted(set(c.transition[s].args))
+        if succ:
+            f_rank = Rank(
+                max(entries[t].rank.major for t in succ),
+                1 + max(entries[t].rank.minor for t in succ),
+            )
+        else:
+            f_rank = Rank(0, 1)
+
+        through = [
+            (ctx, x)
+            for ctx, x in sig.decompositions(c.transition[s])
+            if entries[x].g_value is not None
+        ]
+        if not through:
+            entries[s] = _RefRank(f_rank, "f")
+            continue
+
+        values = [
+            max([entries[x].g_value, *(entries[y].rank.major for y in ctx.sides)])
+            for ctx, x in through
+        ]
+        g_val = min(values)
+        best = tuple(p for p, v in zip(through, values) if v == g_val)
+        g_rank = Rank(g_val + 1, 0)
+        if g_rank < f_rank:
+            entries[s] = _RefRank(g_rank, "g", g_val, best)
+        else:
+            entries[s] = _RefRank(f_rank, "f", g_val, best)
+    return entries
 
 
 def _reference_lone_entry(c, entries, s):
@@ -123,6 +196,40 @@ def _reference_lone_entry(c, entries, s):
     raise AssertionError("threshold search failed below its ceiling")
 
 
+def _attaining_positions(c, entries, s):
+    # Positions whose successor has a value and whose score, the larger of
+    # that value and every major at the other positions, is the state's.
+    args = c.transition[s].args
+    majors = [entries[t].rank.major for t in args]
+    return [
+        u
+        for u, t in enumerate(args)
+        if entries[t].g_value is not None
+        and max([entries[t].g_value, *majors[:u], *majors[u + 1 :]])
+        == entries[s].g_value
+    ]
+
+
+def _assert_table_matches_reference(pc):
+    c = pc.coalg
+    entries = state_ranks(pc).entries
+    ref = _reference_state_ranks(pc)
+    assert entries.keys() == ref.keys()
+    for s, e in entries.items():
+        want = ref[s]
+        assert (e.rank, e.kind, e.g_value) == (want.rank, want.kind, want.g_value)
+        if e.kind == "f":
+            assert e.spine is None
+            continue
+        # The one-step lemma: a single position attains the value, and the
+        # reference's single step is the context there and its successor.
+        assert _attaining_positions(c, entries, s) == [e.spine]
+        elem = c.transition[s]
+        u = e.spine
+        ctx = c.sig.canonical_context(elem.op, u, elem.args[:u] + elem.args[u + 1 :])
+        assert want.spine == ((ctx, elem.args[u]),)
+
+
 def _thin_rooted(sig, n_max):
     """Every thin rooted system on at most ``n_max`` states."""
     for n in range(1, n_max + 1):
@@ -143,10 +250,8 @@ def test_lone_state_ranks_match_threshold_search(name, request):
     spines = 0
     for pc in _thin_rooted(sig, SMALL_SYSTEMS[name]):
         c = pc.coalg
-        entries = state_ranks(pc).entries
-        # Every stream state has one spine step, so extraction never chooses.
-        for e in entries.values():
-            assert e.kind == "f" or len(e.spine) == 1
+        _assert_table_matches_reference(pc)
+        entries = _reference_state_ranks(pc)
         for members in reachable_condensation(pc).components:
             s = members[0]
             if len(members) > 1 or s in c.transition[s].args:
@@ -164,10 +269,11 @@ def test_lone_state_ranks_match_threshold_search(name, request):
 def _reference_extract_normal(pc):
     # The extraction that breaks ties between spine candidates by comparing
     # their extracted contexts and next terms, walking spines that resume
-    # once the compared states are built.
+    # once the compared states are built.  It reads the reference table of
+    # the minimal quotient.
     _require_thin(pc)
     mpc, _ = minimize(pc)
-    table = state_ranks(mpc)
+    table = _reference_state_ranks(mpc)
     c = mpc.coalg
     sig = c.sig
 
@@ -283,10 +389,85 @@ def test_extraction_matches_reference_on_random_systems(
     streams = 0
     for pc in _random_thin_systems(sigs, 2000, rng):
         assert len(state_ranks(pc).entries) >= 4
+        _assert_table_matches_reference(pc)
         got = extract_normal(pc)
         assert got is _reference_extract_normal(pc)
         streams += isinstance(got, GNode)
     assert streams > 200
+
+
+# Extraction reads the input's own table, without minimizing first, so the
+# inputs below spread one behaviour over several states.
+
+
+def test_extraction_on_a_loop_twice_its_period(sig_poly):
+    # 2k states around a u-loop with a b exit to the leaf every k states:
+    # state i behaves as state i + k.
+    for k in range(1, 7):
+        rows = [
+            ("b", ((i + 1) % (2 * k), 2 * k)) if i % k == 0 else ("u", ((i + 1) % (2 * k),))
+            for i in range(2 * k)
+        ]
+        rows.append(("c", ()))
+        for root in range(2 * k):
+            pc = build(sig_poly, rows, root)
+            _assert_table_matches_reference(pc)
+            got = extract_normal(pc)
+            assert got is _reference_extract_normal(pc)
+            assert got is extract_normal(build(sig_poly, rows, (root + k) % (2 * k)))
+            assert len(got.stream.period) == k and not got.stream.prefix
+
+
+def test_extraction_on_a_duplicated_ladder_tree(sig_poly):
+    # Copy r of state s is 2s + r.  Arguments stay in their copy, except on
+    # the edges that close a loop, which cross to the other copy, so each
+    # loop of k states becomes one of 2k.  A new root branches into both
+    # copies of the old one.
+    raw, loops = ladder_tree(4000, random.Random(7))
+    n = len(raw)
+    rows = [
+        (op, [2 * t + (r ^ (t <= s)) for t in args])
+        for s, (op, args) in enumerate(raw)
+        for r in (0, 1)
+    ]
+    rows.append(("b", (0, 1)))
+    pc = build(sig_poly, rows, root=2 * n)
+    assert len(state_ranks(pc).entries) == 2 * n + 1
+    _assert_table_matches_reference(pc)
+    got = extract_normal(pc)
+    assert got is _reference_extract_normal(pc)
+    nf = extract_normal(build(sig_poly, raw))
+    assert got is FNode(sig_poly.canonical_tuple("b", (nf, nf)))
+    assert rank(nf).major == loops
+
+
+def test_extraction_on_random_blow_ups(sig_poly, sig_bag, sig_server, sig_mixed):
+    sigs = (sig_poly, sig_bag, sig_server, sig_mixed)
+    rng = random.Random(1618)
+    for pc in _random_thin_systems(sigs, 300, rng):
+        big, pi = blow_up(rng, pc.coalg)
+        blown = PointedCoalgebra(big, pi[pc.root])
+        _assert_table_matches_reference(blown)
+        got = extract_normal(blown)
+        assert got is _reference_extract_normal(blown)
+        assert got is extract_normal(pc)
+
+
+def test_rank_table_matches_extracted_terms(sig_poly, sig_bag, sig_server, sig_mixed):
+    # Every entry of the table, not only the root's, is the rank of the
+    # term extracted at that state; on rigid ops its major is the
+    # derivative rank.
+    sigs = (sig_poly, sig_bag, sig_server, sig_mixed)
+    rng = random.Random(3141)
+    checked = 0
+    for pc in _random_thin_systems(sigs, 400, rng):
+        for s, e in state_ranks(pc).entries.items():
+            at = PointedCoalgebra(pc.coalg, s)
+            assert rank(extract_normal(at)) == e.rank
+            if pc.coalg.sig is sig_poly:
+                assert cb_rank(at) == e.rank.major
+                checked += 1
+    assert checked > 500
 
 
 def test_extract_pure_loop(u_loop, atoms):

@@ -16,7 +16,8 @@ from thincoalg import (
 )
 from thincoalg.coalgebra import FinitePath, minimize, reachable_states, validate_path
 from thincoalg.generate import gen_coalgebra
-from thincoalg.normalform import extract_normal, state_ranks
+from thincoalg.normalform import extract_normal, normalize, state_ranks
+from thincoalg.terms import GNode, LassoStream
 from thincoalg.thinness import (
     PathClassCount,
     ThinWitness,
@@ -246,14 +247,21 @@ def test_consumers_raise_the_verdict_of_is_thin(name, request):
 
 def test_each_consumer_searches_components_once(monkeypatch, sig_poly):
     calls = []
+    refines = []
     search = coalgebra._scc_csr
+    refine = coalgebra._refine
 
     def counting(*args):
         calls.append(1)
         return search(*args)
 
+    def counting_refine(*args):
+        refines.append(1)
+        return refine(*args)
+
     monkeypatch.setattr(coalgebra, "_scc_csr", counting)
     monkeypatch.setattr(thinness, "_scc_csr", counting)
+    monkeypatch.setattr(coalgebra, "_refine", counting_refine)
     # A branch into a u-loop that exits to a leaf, beside a leaf.
     pc = build(
         sig_poly,
@@ -264,11 +272,18 @@ def test_each_consumer_searches_components_once(monkeypatch, sig_poly):
         (count_infinite_paths_class, 1),
         (state_ranks, 1),
         (cb_rank, 1),
-        (extract_normal, 2),  # the input, then the quotient
+        (extract_normal, 1),
     ):
         calls.clear()
         consumer(pc)
         assert len(calls) == want, consumer.__name__
+    # Normal forms come from the input's own table: nothing refines it.
+    refines.clear()
+    extract_normal(pc)
+    normalize(sig_poly, GNode(LassoStream((), (sig_poly.canonical_context("u", 0, ()),))))
+    assert refines == []
+    minimize(pc)
+    assert refines == [1]
 
 
 # -- the witness against its reference construction ------------------------
