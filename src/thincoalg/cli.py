@@ -323,14 +323,19 @@ def _weight_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        size = int(text)
-        if size > 0:
-            return size
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+def _int_at_least(low: int, name: str):
+    """An argument type: an integer of at least ``low``, else a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            if value >= low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected a {name} integer, got {text!r}")
+
+    return parse
 
 
 def _size_list(text: str) -> list[int]:
@@ -371,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("paths", parents=[common], help="list bounded paths")
     p.add_argument("signature")
     p.add_argument("coalgebra")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_int_at_least(0, "nonnegative"), required=True)
     p.add_argument("--root", type=int)
     p.set_defaults(func=cmd_paths)
 
@@ -416,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", parents=[common], help="write a random input file")
     p.add_argument("kind", choices=["coalgebra", "term"])
     p.add_argument("--sig", required=True)
-    p.add_argument("--size", type=_positive_int, required=True)
+    p.add_argument("--size", type=_int_at_least(1, "positive"), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("-o", "--out", required=True)
     p.add_argument("--weights", type=_weight_list,

@@ -65,12 +65,39 @@ class Coalgebra:
 
 @dataclass(frozen=True)
 class PointedCoalgebra:
+    """A coalgebra and a root state.
+
+    The value is immutable, so what is derived from it is derived once: the
+    thinness analysis (``thinness._thin_components``) and the minimal
+    quotient (``minimize``) are computed on first use and kept on the object
+    by ``_memo``, outside the dataclass fields, so ``==``, ``hash`` and
+    ``repr`` see only ``coalg`` and ``root``.  ``dataclasses.replace`` builds
+    a new object, which analyses itself afresh.
+    """
+
     coalg: Coalgebra
     root: int
 
     def __post_init__(self):
         if not 0 <= self.root < self.coalg.n_states:
             raise CoalgebraError(f"root {self.root} out of range")
+
+
+def _memo(pc: PointedCoalgebra, name: str, build):
+    """``build(pc)``, computed on the first call and kept on ``pc`` under
+    ``name``.
+
+    The only writer of a pointed coalgebra's instance dictionary: the frozen
+    dataclass forbids plain assignment, and a value derived from a frozen
+    object never goes stale.  Every caller gets the same value, so none may
+    write to it: ``minimize`` hands out a copy of its mapping.
+    """
+    try:
+        return pc.__dict__[name]
+    except KeyError:
+        value = build(pc)
+        object.__setattr__(pc, name, value)
+        return value
 
 
 @dataclass(frozen=True)
@@ -408,8 +435,16 @@ def minimize(pc: PointedCoalgebra) -> tuple[PointedCoalgebra, dict[int, int]]:
     """Reachable behavioural quotient and the state mapping onto it.
 
     The mapping covers exactly the states reachable from the root.  Quotient
-    states are numbered in BFS order from the root's block.
+    states are numbered in BFS order from the root's block.  The refinement
+    runs once per pointed coalgebra: the pair is kept on ``pc`` (see
+    ``_memo``), and every call returns the same quotient with a fresh copy
+    of the mapping, which the caller may change freely.
     """
+    quotient, mapping = _memo(pc, "_minimal", _minimal_quotient)
+    return quotient, dict(mapping)
+
+
+def _minimal_quotient(pc: PointedCoalgebra) -> tuple[PointedCoalgebra, dict[int, int]]:
     c = pc.coalg
     order = reachable_states(c, pc.root)
     block = _refine(c, order)

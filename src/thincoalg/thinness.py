@@ -11,13 +11,14 @@ that divergence into uncountably many infinite paths.
 builds the offset/flat adjacency once, finds the components by one path-based
 search (Gabow 2000) in reverse topological order, and flags each component
 that is a loop while it counts in-component edges, stopping at the first
-offender.  Its consumers fold over that result instead of searching again:
-``is_thin`` builds the witness from it, ``count_infinite_paths_class`` (the
-census) folds path counts over it, and, through the ``_require_thin`` guard,
-``normalform.state_ranks`` and ``treeenc.cb_rank`` fold ranks over it, so
-``normalform.extract_normal``, which reads its term off ``state_ranks`` of
-its input, searches once too.  All of it runs in time linear in states plus
-edges.
+offender.  There is one analysis per pointed coalgebra: it is computed on
+first use and kept on the immutable object, so every later consumer of the
+same object reads it without searching again.  ``is_thin`` builds the
+witness from it, ``count_infinite_paths_class`` (the census) folds path
+counts over it, and, through the ``_require_thin`` guard,
+``normalform.state_ranks`` and ``treeenc.cb_rank`` fold ranks over it, as
+does ``normalform.extract_normal``, which reads its term off ``state_ranks``
+of its input.  All of it runs in time linear in states plus edges.
 
 The witness is a shortest access path from the root to the offender and two
 cycles through it, each closed along a shortest in-component route back.  Both
@@ -42,6 +43,7 @@ from .coalgebra import (
     FinitePath,
     PointedCoalgebra,
     _csr,
+    _memo,
     _scc_csr,
     cycles_through,
     reachable_states,
@@ -153,8 +155,16 @@ def _thin_components(pc: PointedCoalgebra):
     member keeps an edge inside it, and ``(state, component index)`` of the
     first state in emission order with two edges inside its component, or
     ``None`` when the coalgebra is thin.  Loop flags are complete only when
-    the coalgebra is thin.
+    the coalgebra is thin.  Only the witness reads the adjacency, so
+    ``offs`` and ``flat`` are ``None`` when there is no offender.
+
+    The analysis runs once per pointed coalgebra and is kept on it (see
+    ``coalgebra._memo``), so every consumer reads it and none writes to it.
     """
+    return _memo(pc, "_thin", _analyse)
+
+
+def _analyse(pc: PointedCoalgebra):
     c = pc.coalg
     offs, flat = _csr(c)
     comps, comp = _scc_csr(offs, flat, [pc.root], c.n_states)
@@ -171,7 +181,7 @@ def _thin_components(pc: PointedCoalgebra):
                 return offs, flat, comps, comp, looped, (s, ci)
             if k:
                 looped[ci] = 1
-    return offs, flat, comps, comp, looped, None
+    return None, None, comps, comp, looped, None
 
 
 def _require_thin(pc: PointedCoalgebra):

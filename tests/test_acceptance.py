@@ -47,15 +47,24 @@ def _report(num, name, ok, detail=""):
     assert ok, detail
 
 
+def _fresh(pc):
+    # An equal object with no analysis kept on it, so a timing covers the
+    # whole check even when another test has already analysed ``pc``.
+    return PointedCoalgebra(pc.coalg, pc.root)
+
+
 def test_criterion_1_fixture_verdicts(server_pc, bag_ss, full_binary):
+    pc = _fresh(server_pc)
     t0 = time.perf_counter()
-    va = is_thin(server_pc)
+    va = is_thin(pc)
     ta = time.perf_counter() - t0
+    pc = _fresh(bag_ss)
     t0 = time.perf_counter()
-    vb = is_thin(bag_ss)
+    vb = is_thin(pc)
     tb = time.perf_counter() - t0
+    pc = _fresh(full_binary)
     t0 = time.perf_counter()
-    vc = is_thin(full_binary)
+    vc = is_thin(pc)
     tc = time.perf_counter() - t0
     w = vb.witness
     s = w.access.states[-1] if w else None
@@ -283,9 +292,11 @@ def test_criterion_10_near_linear_thinness_check():
     for seed in (1, 2, 3, 7, 11):
         best = []
         for n, budget in zip(sizes, budgets):
-            pc = gen_coalgebra(sig, n, seed)
+            generated = gen_coalgebra(sig, n, seed)
             runs = []
             for _ in range(3):
+                # each run checks an object nothing has analysed yet
+                pc = _fresh(generated)
                 # keep collector pauses out of the timed region
                 gc.collect()
                 gc.disable()
@@ -298,7 +309,7 @@ def test_criterion_10_near_linear_thinness_check():
             best.append(min(runs))
             if best[-1] >= budget:
                 ok = False
-        del pc
+        del generated, pc
         ratios.append(best[1] / best[0])
         lines.append(
             f"seed {seed}: best {best[0]:.3f} s at {sizes[0]} (budget {budgets[0]} s), "

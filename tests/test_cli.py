@@ -219,6 +219,19 @@ def test_paths_output(files):
     assert report["result"]["count"] == 1
 
 
+def test_paths_depth_must_be_nonnegative(files):
+    # Depth 0 lists the root alone; a negative depth is a usage error, as
+    # it is for encode, not "0 paths".
+    proc = run("paths", str(files["poly_sig"]), str(files["uloop"]), "--depth", "0")
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == ["1 paths at depth 0", "0"]
+    for depth in ("-1", "x"):
+        proc = run("paths", str(files["poly_sig"]), str(files["uloop"]), "--depth", depth)
+        assert proc.returncode == 2, depth
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage:") and "nonnegative integer" in proc.stderr
+
+
 def test_paths_deeper_than_the_recursion_limit(files, capsys):
     # One u-loop has exactly one path at every depth, however deep.
     depth = 2000

@@ -359,11 +359,11 @@ def _assert_refines_like_reference(c):
 
 def _assert_minimizes_like_reference(c, monkeypatch):
     for root in range(c.n_states):
-        pc = PointedCoalgebra(c, root)
-        got = minimize(pc)
+        got = minimize(PointedCoalgebra(c, root))
         with monkeypatch.context() as m:
             m.setattr(coalgebra, "_refine", _refine_by_rounds)
-            want = minimize(pc)
+            # a fresh object: the first one keeps its quotient
+            want = minimize(PointedCoalgebra(c, root))
         assert got == want
 
 

@@ -14,7 +14,13 @@ from thincoalg import (
     coalgebra,
     thinness,
 )
-from thincoalg.coalgebra import FinitePath, minimize, reachable_states, validate_path
+from thincoalg.coalgebra import (
+    FinitePath,
+    canonical_key,
+    minimize,
+    reachable_states,
+    validate_path,
+)
 from thincoalg.generate import gen_coalgebra
 from thincoalg.normalform import extract_normal, normalize, state_ranks
 from thincoalg.terms import GNode, LassoStream
@@ -255,9 +261,9 @@ def test_each_consumer_searches_components_once(monkeypatch, sig_poly):
         calls.append(1)
         return search(*args)
 
-    def counting_refine(*args):
-        refines.append(1)
-        return refine(*args)
+    def counting_refine(c, states):
+        refines.append(c)
+        return refine(c, states)
 
     monkeypatch.setattr(coalgebra, "_scc_csr", counting)
     monkeypatch.setattr(thinness, "_scc_csr", counting)
@@ -267,26 +273,34 @@ def test_each_consumer_searches_components_once(monkeypatch, sig_poly):
         sig_poly,
         [("b", (1, 3)), ("u", (2,)), ("b", (1, 3)), ("c", ())],
     )
-    for consumer, want in (
-        (is_thin, 1),
-        (count_infinite_paths_class, 1),
-        (state_ranks, 1),
-        (cb_rank, 1),
-        (extract_normal, 1),
-    ):
+    consumers = (is_thin, count_infinite_paths_class, state_ranks, cb_rank, extract_normal)
+    # The five consumers share one search of an object, whichever runs first.
+    for first in range(len(consumers)):
         calls.clear()
-        consumer(pc)
-        assert len(calls) == want, consumer.__name__
+        fresh = PointedCoalgebra(pc.coalg, pc.root)
+        for consumer in consumers[first:] + consumers[:first]:
+            consumer(fresh)
+        assert len(calls) == 1, consumers[first].__name__
+    calls.clear()
+    for _ in range(2):
+        for consumer in consumers:
+            consumer(pc)
+    assert len(calls) == 1
+    # An equal but distinct object runs its own search.
+    fresh = PointedCoalgebra(pc.coalg, pc.root)
+    for consumer in consumers:
+        consumer(fresh)
+    assert len(calls) == 2
     # Normal forms come from the input's own table: nothing refines it.
-    refines.clear()
-    extract_normal(pc)
     normalize(sig_poly, GNode(LassoStream((), (sig_poly.canonical_context("u", 0, ()),))))
     assert refines == []
+    # The key refines the quotient that minimize kept: the input once, the
+    # quotient once.
+    mpc, _ = minimize(pc)
+    canonical_key(pc)
     minimize(pc)
-    assert refines == [1]
-
-
-# -- the witness against its reference construction ------------------------
+    assert [c is pc.coalg for c in refines] == [True, False]
+    assert refines[1] is mpc.coalg
 
 
 def _full_bfs_tree(offs, flat, source, n):
