@@ -19,10 +19,12 @@ A rigid op's tuple is its own minimum.  When the group is the full symmetric
 group on each orbit of positions (bags, and products of those), the values
 inside each orbit are sorted; any other group (a rotation of three or more
 positions, a dihedral group, ...) takes the least image under its elements.
-Groups are still enumerated when the signature is built, which is
-exponential in the arity, so arities stay capped (default 8, see
-``DEFAULT_ARITY_CAP``).  Argument values must be totally ordered (ints,
-strings, terms, nested elements).
+Which of the two applies is read off the group's order, which a stabilizer
+chain gives without listing the group, so a bag of any arity is built
+without enumerating its group.  Any other group is still enumerated when the
+signature is built, which is exponential in the arity, so arities stay
+capped (default 8, see ``DEFAULT_ARITY_CAP``).  Argument values must be
+totally ordered (ints, strings, terms, nested elements).
 
 Elements and contexts are named tuples ``(op, args)`` and ``(op, hole,
 sides)``, so they hash, compare, order and pickle as the tuples they are.
@@ -31,6 +33,8 @@ sides)``, so they hash, compare, order and pickle as the tuples they are.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, permutations
 from math import factorial, prod
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -47,9 +51,17 @@ def identity_perm(arity: int) -> Perm:
 
 
 def check_perm(perm: Sequence[int], arity: int) -> Perm:
-    """Validate ``perm`` as a bijection on ``range(arity)`` and return it."""
+    """Validate ``perm`` as a bijection on ``range(arity)`` and return it.
+
+    Every entry must be an ``int`` itself: a float or a bool that equals a
+    position is rejected, since it cannot index the tuples it would act on.
+    """
     p = tuple(perm)
-    if len(p) != arity or sorted(p) != list(range(arity)):
+    if (
+        len(p) != arity
+        or not all(type(k) is int for k in p)
+        or sorted(p) != list(range(arity))
+    ):
         raise SignatureError(f"malformed permutation {list(perm)} for arity {arity}")
     return p
 
@@ -74,30 +86,50 @@ def apply_perm(sigma: Perm, values: Sequence) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class PermGroup:
-    """A permutation group on ``range(arity)``, fully enumerated.
+    """A permutation group on ``range(arity)``: its generators and its order.
 
-    Elements are stored sorted, so iteration order is deterministic.
+    ``len`` and ``is_trivial`` read the order, so neither enumerates.  The
+    elements are listed on first use and kept, sorted so iteration order is
+    deterministic: straight from the orbits when the group is the full
+    symmetric group on each of them (``symmetric_elements``), else by
+    closing the generators (``enumerate_group``).  Groups compare by
+    identity; ``SignatureSpec`` equality compares the groups themselves.
     """
 
     arity: int
-    elements: tuple[Perm, ...]
+    generators: tuple[Perm, ...]
+    order: int
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.order
 
     def __iter__(self) -> Iterator[Perm]:
         return iter(self.elements)
 
     @property
     def is_trivial(self) -> bool:
-        return len(self.elements) == 1
+        return self.order == 1
+
+    @cached_property
+    def elements(self) -> tuple[Perm, ...]:
+        orbits = sortable_orbits(self.generators, self)
+        if orbits is not None:
+            return symmetric_elements(self.arity, orbits)
+        closure = enumerate_group(self.generators, self.arity).elements
+        assert len(closure) == self.order, "stabilizer chain and closure disagree"
+        return closure
 
 
 def enumerate_group(generators: Iterable[Sequence[int]], arity: int) -> PermGroup:
-    """Close ``generators`` under composition; worklist closure from identity."""
-    gens = [check_perm(g, arity) for g in generators]
+    """Close ``generators`` under composition; worklist closure from identity.
+
+    The returned group's order is the size of the closure and its elements
+    are the closure itself, so this is the reference the stabilizer chain
+    and ``symmetric_elements`` are tested against.
+    """
+    gens = tuple(check_perm(g, arity) for g in generators)
     seen = {identity_perm(arity)}
     frontier = list(seen)
     while frontier:
@@ -109,7 +141,87 @@ def enumerate_group(generators: Iterable[Sequence[int]], arity: int) -> PermGrou
                     seen.add(q)
                     nxt.append(q)
         frontier = nxt
-    return PermGroup(arity, tuple(sorted(seen)))
+    group = PermGroup(arity, gens, len(seen))
+    # Fills the cached property, so the closure is never built again.
+    group.elements = tuple(sorted(seen))
+    return group
+
+
+def stabilizer_chain(
+    generators: Sequence[Perm], arity: int
+) -> tuple[list[int], list[dict[int, Perm]], int]:
+    """A base, one transversal per base point, and the order of the group
+    generated by ``generators`` (checked permutations of ``range(arity)``).
+
+    Deterministic Schreier-Sims (Sims 1970; Seress, *Permutation Group
+    Algorithms*, 2003, ch. 4) on an explicit worklist.  Level ``i`` holds
+    strong generators that fix ``base[:i]`` and a transversal: a dict from
+    each point of the orbit of ``base[i]`` under them to a product of them
+    that maps ``base[i]`` there.  Every (point, generator) pair of a level
+    is visited once; it either reaches a new point or yields a Schreier
+    generator, which fixes ``base[:i + 1]``.  Each generator and Schreier
+    generator is sifted down the levels below the one it came from; a
+    residue other than the identity becomes a strong generator of each of
+    those levels it passed and of the one where it stopped (a new base
+    point, moved by it, when it passed them all).  When the worklist is
+    empty each level's stabilizer is generated by the next level, so the
+    order is the product of the transversal sizes.
+    """
+    ident = identity_perm(arity)
+    base: list[int] = []
+    strong: list[list[Perm]] = []
+    transversals: list[dict[int, Perm]] = []
+    work = [(0, g) for g in reversed(generators)]
+    while work:
+        level, h = work.pop()
+        stop = level
+        while stop < len(base):
+            rep = transversals[stop].get(h[base[stop]])
+            if rep is None:
+                break
+            h = compose_perms(invert_perm(rep), h)
+            stop += 1
+        if h == ident:
+            continue
+        if stop == len(base):
+            base.append(next(k for k in range(arity) if h[k] != k))
+            strong.append([])
+            transversals.append({base[-1]: ident})
+        for i in range(level, stop + 1):
+            gens, reps = strong[i], transversals[i]
+            gens.append(h)
+            todo = [(p, h) for p in reps]
+            while todo:
+                p, s = todo.pop()
+                image = compose_perms(s, reps[p])
+                q = s[p]
+                if q not in reps:
+                    reps[q] = image
+                    todo.extend((q, g) for g in gens)
+                else:
+                    schreier = compose_perms(invert_perm(reps[q]), image)
+                    if schreier != ident:
+                        work.append((i + 1, schreier))
+    return base, transversals, prod(map(len, transversals))
+
+
+def symmetric_elements(arity: int, orbits: Sequence[Sequence[int]]) -> tuple[Perm, ...]:
+    """The elements of the full symmetric group on each of the disjoint
+    position tuples ``orbits`` (fixing every other position), sorted.
+
+    Each row lists the images of the fixed positions and then those of each
+    orbit, which runs through every order ``itertools.permutations`` gives;
+    ``layout`` holds the position each entry of a row belongs to.
+    """
+    fixed = tuple(k for k in range(arity) if all(k not in orb for orb in orbits))
+    layout = fixed + tuple(chain.from_iterable(orbits))
+    rows = [fixed]
+    for orb in orbits:
+        images = list(permutations(orb))
+        rows = [row + image for row in rows for image in images]
+    if layout != identity_perm(arity):
+        rows = map(itemgetter(*invert_perm(layout)), rows)
+    return tuple(sorted(rows))
 
 
 def position_orbits(generators: Iterable[Perm], arity: int) -> tuple[tuple[int, ...], ...]:
@@ -226,21 +338,26 @@ def _orbit_min(record: tuple, vals: tuple) -> tuple:
 
 
 class SignatureSpec:
-    """A validated signature; each group is enumerated and classified once.
+    """A validated signature; each group is ordered and classified once.
 
-    At build time every operation's group is enumerated and its position
-    orbits are taken from the generators.  The op's record holds its arity
-    and what ``_orbit_min`` needs: nothing for a trivial group, the orbits to
-    sort within for a group symmetric on each orbit, or else one
-    precomputed ``itemgetter`` per group element, acting as ``apply_perm``.
-    Canonical tuples, canonical contexts (the hole as ``_HOLE``) and
-    refinement keys all go through that one routine.
+    At build time every operation's generators are checked, the order of
+    its group comes from ``stabilizer_chain`` and its position orbits from
+    the generators.  The op's record holds its arity and what
+    ``_orbit_min`` needs: nothing for a trivial group, the orbits to sort
+    within for a group symmetric on each orbit, or else one precomputed
+    ``itemgetter`` per group element, acting as ``apply_perm``.  Only that
+    last kind of group is enumerated; the others list their elements only
+    if ``PermGroup.elements`` is read.  Canonical tuples, canonical contexts
+    (the hole as ``_HOLE``) and refinement keys all go through that one
+    routine.
 
-    Raises ``SignatureError`` on duplicate ids, bad permutations, or arities
-    above ``arity_cap``.  Two specs are equal when they have the same ops with
-    the same arities and the same enumerated groups, regardless of which
-    generators were listed.  The equality key and its hash are built once,
-    with the signature.
+    Raises ``SignatureError`` on duplicate ids, arities that are not
+    nonnegative ints, bad permutations, or arities above ``arity_cap``.
+    Two specs are equal when they have the same ops with the same arities
+    and the same groups, regardless of which generators were listed: a
+    group symmetric on each orbit is determined by its orbits, any other
+    group is compared by its elements.  The equality key and its hash are
+    built once, with the signature.
     """
 
     def __init__(self, ops: Iterable[OperationSymbol], arity_cap: int = DEFAULT_ARITY_CAP):
@@ -252,9 +369,12 @@ class SignatureSpec:
         self._records: dict[str, tuple] = {}
         if not self.ops:
             raise SignatureError("signature needs at least one operation")
+        eq_key = []
         for op in self.ops:
             if op.id in self._by_id:
                 raise SignatureError(f"duplicate operation id {op.id!r}")
+            if type(op.arity) is not int:
+                raise SignatureError(f"arity of {op.id!r} must be an integer, got {op.arity!r}")
             if op.arity < 0:
                 raise SignatureError(f"negative arity for {op.id!r}")
             if op.arity > arity_cap:
@@ -262,18 +382,20 @@ class SignatureSpec:
                     f"arity {op.arity} of {op.id!r} exceeds cap {arity_cap}"
                 )
             self._by_id[op.id] = op
-            group = enumerate_group(op.generators, op.arity)
+            gens = tuple(check_perm(g, op.arity) for g in op.generators)
+            group = PermGroup(op.arity, gens, stabilizer_chain(gens, op.arity)[2])
             self._groups[op.id] = group
-            orbits = sortable_orbits(op.generators, group)
+            orbits = sortable_orbits(gens, group)
             getters = None
             if orbits is None:
                 # Such a group is no product of symmetric groups, so its
                 # arity is at least 3 and every getter returns a tuple.
                 getters = tuple(itemgetter(*invert_perm(g)) for g in group)
+                eq_key.append((op.id, op.arity, ("enum", group.elements)))
+            else:
+                eq_key.append((op.id, op.arity, ("sym", orbits)))
             self._records[op.id] = (op.arity, orbits or None, getters)
-        self._eq_key = tuple(
-            (o.id, o.arity, self._groups[o.id].elements) for o in self.ops
-        )
+        self._eq_key = tuple(eq_key)
         # Equal groups have equal orders, so this hash agrees with ==
         # without hashing every element.
         self._hash = hash(tuple((o.id, o.arity, len(self._groups[o.id])) for o in self.ops))

@@ -6,6 +6,7 @@ import pickle
 import random
 
 import pytest
+from conftest import build
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,8 +17,11 @@ from thincoalg import (
     PermGroup,
     SignatureError,
     SignatureSpec,
+    canonical_key,
     enumerate_group,
+    minimize,
 )
+from thincoalg import signature
 from thincoalg.generate import rand_term
 from thincoalg.normalform import enumerate_terms
 from thincoalg.signature import (
@@ -30,6 +34,7 @@ from thincoalg.signature import (
     invert_perm,
     position_orbits,
     sortable_orbits,
+    stabilizer_chain,
 )
 from thincoalg.terms import GNode
 
@@ -50,6 +55,11 @@ def test_check_perm_rejects_non_bijections():
         check_perm((0, 2), 2)
     with pytest.raises(SignatureError):
         check_perm((0, 1, 2), 2)
+    # Entries equal to positions but not ints cannot index a tuple.
+    with pytest.raises(SignatureError):
+        check_perm((1.0, 2.0, 0.0), 3)
+    with pytest.raises(SignatureError):
+        check_perm((True, False), 2)
 
 
 def test_compose_and_invert_are_group_operations():
@@ -111,7 +121,7 @@ def test_group_is_closed_under_composition_and_inverse():
 
 
 def test_permgroup_trivial_flag():
-    assert PermGroup(2, ((0, 1),)).is_trivial
+    assert PermGroup(2, (), 1).is_trivial
     assert not enumerate_group([(1, 0)], 2).is_trivial
 
 
@@ -128,6 +138,9 @@ def test_signature_rejects_negative_arity_and_cap_overflow():
         SignatureSpec([OperationSymbol("a", -1)])
     with pytest.raises(SignatureError):
         SignatureSpec([OperationSymbol("a", 9)])
+    for arity in (True, 2.0, "2"):
+        with pytest.raises(SignatureError):
+            SignatureSpec([OperationSymbol("a", arity)])
     # an explicit cap loosens the bound
     SignatureSpec([OperationSymbol("a", 9)], arity_cap=9)
 
@@ -135,6 +148,11 @@ def test_signature_rejects_negative_arity_and_cap_overflow():
 def test_signature_rejects_bad_generator():
     with pytest.raises(SignatureError):
         SignatureSpec([OperationSymbol("a", 2, ((0, 0),))])
+    # Floats and bools equal to positions are no positions either.
+    with pytest.raises(SignatureError):
+        SignatureSpec([OperationSymbol("a", 3, ((1.0, 2.0, 0.0),))])
+    with pytest.raises(SignatureError):
+        SignatureSpec([OperationSymbol("a", 2, ((True, False),))])
 
 
 def test_signature_needs_an_operation():
@@ -328,6 +346,131 @@ def test_canonical_forms_of_terms_match_enumeration(name, request):
         for op in sig.ops:
             for vals in itertools.product(pool, repeat=op.arity):
                 assert_matches_enumeration(sig, op.id, vals)
+
+
+# -- stabilizer chain against enumeration ----------------------------------
+
+
+def _full(arity):
+    """A swap and a cycle: generators of the full symmetric group."""
+    return ((1, 0) + tuple(range(2, arity)), tuple(range(1, arity)) + (0,))
+
+
+# The benchmark's ops whose groups are products of symmetric groups.
+SORTABLE_OPS = (
+    OperationSymbol("s4", 4, _full(4)),
+    OperationSymbol(
+        "s3s3", 6,
+        ((1, 0, 2, 3, 4, 5), (1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 3, 5), (0, 1, 2, 4, 5, 3)),
+    ),
+    OperationSymbol("s5", 5, _full(5)),
+    OperationSymbol("s8", 8, _full(8)),
+)
+
+
+def random_generator_sets(seed, count, max_arity):
+    """``count`` seeded (arity, generators) pairs, at most two generators."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        arity = rng.randrange(max_arity + 1)
+        yield arity, tuple(tuple(rng.sample(range(arity), arity)) for _ in range(rng.randrange(3)))
+
+
+@pytest.fixture(scope="module")
+def oracle_groups(sig_poly, sig_bag, sig_server, sig_mixed, sig_rotations):
+    """Random groups up to arity 6, every fixture op and the sortable
+    benchmark ops (S_8 among them), as (arity, generators) pairs."""
+    out = list(random_generator_sets(12, 300, 6))
+    for sig in (sig_poly, sig_bag, sig_server, sig_mixed, sig_rotations):
+        out += [(op.arity, op.generators) for op in sig.ops]
+    # S_3 x S_3 on interleaved orbits {0, 2, 4} and {1, 3, 5}.
+    out.append((6, ((2, 1, 0, 3, 4, 5), (2, 1, 4, 3, 0, 5), (0, 3, 2, 1, 4, 5), (0, 3, 2, 5, 4, 1))))
+    return out + [(op.arity, op.generators) for op in SORTABLE_OPS]
+
+
+def test_chain_orders_and_classifies_like_enumeration(oracle_groups):
+    kinds = set()
+    for arity, gens in oracle_groups:
+        closure = enumerate_group(gens, arity)
+        base, transversals, order = stabilizer_chain(gens, arity)
+        assert order == len(closure.elements) == len(closure)
+        # Each coset representative lies in the group, fixes the earlier
+        # base points and maps its base point to its key.
+        members = set(closure.elements)
+        for i, (point, reps) in enumerate(zip(base, transversals)):
+            for image, rep in reps.items():
+                assert rep in members and rep[point] == image
+                assert all(rep[b] == b for b in base[:i])
+        group = SignatureSpec([OperationSymbol("o", arity, gens)]).group("o")
+        assert len(group) == order and group.is_trivial == (order == 1)
+        orbits = sortable_orbits(gens, group)
+        assert orbits == sortable_orbits(gens, closure)
+        if orbits is not None:
+            # A sortable group lists its elements only when asked.
+            assert "elements" not in vars(group)
+        assert group.elements == closure.elements
+        kinds.add((orbits is None, order == 1))
+    assert kinds == {(False, True), (False, False), (True, False)}
+
+
+def test_signature_equality_is_group_equality():
+    c4 = ((1, 2, 3, 0),)
+    s2s2 = ((1, 0, 2, 3), (0, 1, 3, 2))
+    cases = list(random_generator_sets(13, 120, 5)) + [(4, c4), (4, s2s2)]
+    specs = []
+    for arity, gens in cases:
+        elements = enumerate_group(gens, arity).elements
+        # The same group from other generators: every element, reversed.
+        for listed in (gens, elements[::-1]):
+            specs.append((SignatureSpec([OperationSymbol("o", arity, listed)]), elements))
+    pairs = set()
+    for a, elements_a in specs:
+        for b, elements_b in specs:
+            assert (a == b) == (elements_a == elements_b)
+            if a == b:
+                assert hash(a) == hash(b)
+            pairs.add((a == b, len(a.group("o")) == len(b.group("o"))))
+    # C_4 and S_2 x S_2: same order and arity, different groups.
+    assert len(specs[-1][0].group("o")) == len(specs[-3][0].group("o")) == 4
+    assert specs[-1][0] != specs[-3][0]
+    assert pairs == {(True, True), (False, True), (False, False)}
+
+
+def test_sortable_signatures_never_enumerate(monkeypatch):
+    plain = SignatureSpec(SORTABLE_OPS)
+    rng = random.Random(14)
+    cases = []
+    for op in SORTABLE_OPS:
+        group = plain.group(op.id)
+        for _ in range(3):
+            vals = tuple(rng.randrange(4) for _ in range(op.arity))
+            hole = rng.randrange(op.arity)
+            sides = vals[:hole] + vals[hole + 1 :]
+            want = (reference_tuple(group, vals), reference_context(group, hole, sides))
+            cases.append((op.id, vals, hole, sides, want))
+    rows = [
+        (op.id, tuple(rng.randrange(8) for _ in range(op.arity)))
+        for op in SORTABLE_OPS + SORTABLE_OPS
+    ]
+    pc = build(plain, rows)
+    want_key, want_states = canonical_key(pc), minimize(pc)[0].coalg.n_states
+
+    def refuse(*args):
+        raise AssertionError("a group was enumerated")
+
+    monkeypatch.setattr(signature, "enumerate_group", refuse)
+    monkeypatch.setattr(signature, "symmetric_elements", refuse)
+    sig = SignatureSpec(SORTABLE_OPS)
+    assert len(sig.group("s8")) == 40320 and not sig.is_polynomial
+    for op_id, vals, hole, sides, (tup, ctx) in cases:
+        assert sig.canonical_tuple(op_id, vals).args == tup
+        got = sig.canonical_context(op_id, hole, sides)
+        assert (got.hole, got.sides) == ctx
+    pc = build(sig, rows)
+    assert minimize(pc)[0].coalg.n_states == want_states
+    assert canonical_key(pc) == want_key
+    with pytest.raises(AssertionError, match="enumerated"):
+        sig.group("s8").elements
 
 
 def test_s8_canonical_forms_match_enumeration():
