@@ -7,7 +7,8 @@ indices, so a successor occurring twice in a tuple contributes two edges.
 Includes strongly connected components (iterative path-based search, linear
 time), behavioural minimization by worklist partition refinement (only the
 predecessors of states that changed block are re-signed, O(m log n)
-signings), behavioural equality on the disjoint union, and an
+signings), behavioural equality on the disjoint union (of the minimal
+quotients already kept on the inputs, where there are any), and an
 isomorphism-invariant canonical key used to fingerprint behaviours.
 Refinement block ids depend only on structure, never on state numbering.
 """
@@ -71,8 +72,10 @@ class PointedCoalgebra:
     thinness analysis (``thinness._thin_components``) and the minimal
     quotient (``minimize``) are computed on first use and kept on the object
     by ``_memo``, outside the dataclass fields, so ``==``, ``hash`` and
-    ``repr`` see only ``coalg`` and ``root``.  ``dataclasses.replace`` builds
-    a new object, which analyses itself afresh.
+    ``repr`` see only ``coalg`` and ``root``.  ``beh_equal`` reuses a kept
+    quotient (read by ``_kept_quotient``) but never computes one.
+    ``dataclasses.replace`` builds a new object, which analyses itself
+    afresh.
     """
 
     coalg: Coalgebra
@@ -98,6 +101,13 @@ def _memo(pc: PointedCoalgebra, name: str, build):
         value = build(pc)
         object.__setattr__(pc, name, value)
         return value
+
+
+def _kept_quotient(pc: PointedCoalgebra) -> PointedCoalgebra:
+    """The minimal quotient ``minimize`` has kept on ``pc``, or ``pc``
+    itself when none is kept yet.  Reads only: it neither builds nor
+    writes."""
+    return pc.__dict__.get("_minimal", (pc,))[0]
 
 
 @dataclass(frozen=True)
@@ -483,10 +493,18 @@ def disjoint_union(c1: Coalgebra, c2: Coalgebra) -> Coalgebra:
 
 
 def beh_equal(pc1: PointedCoalgebra, pc2: PointedCoalgebra) -> bool:
-    """Behavioural equality of the two roots, by refining the disjoint union."""
-    union = disjoint_union(pc1.coalg, pc2.coalg)
-    r1 = pc1.root
-    r2 = pc2.root + pc1.coalg.n_states
+    """Behavioural equality of the two roots, by refining a disjoint union.
+
+    Each side enters the union as the minimal quotient ``minimize`` has
+    already kept on it, or as itself when none is kept: a quotient's root is
+    behaviourally equal to its input's root, so the answer is the same
+    either way, and a side minimized before costs only its quotient's
+    states.  Nothing is minimized here, so a fresh pair is refined once.
+    """
+    q1, q2 = _kept_quotient(pc1), _kept_quotient(pc2)
+    union = disjoint_union(q1.coalg, q2.coalg)
+    r1 = q1.root
+    r2 = q2.root + q1.coalg.n_states
     states = reachable_states(union, r1)
     seen = set(states)
     for s in reachable_states(union, r2):

@@ -17,8 +17,9 @@ routine, ``_orbit_min``, finds them all: for canonical tuples, for contexts
 the hole goes to the first position it can reach) and for refinement keys.
 A rigid op's tuple is its own minimum.  When the group is the full symmetric
 group on each orbit of positions (bags, and products of those), the values
-inside each orbit are sorted; any other group (a rotation of three or more
-positions, a dihedral group, ...) takes the least image under its elements.
+inside each orbit are sorted, by a gather and scatter planned once per op;
+any other group (a rotation of three or more positions, a dihedral group,
+...) takes the least image under its elements.
 Which of the two applies is read off the group's order, which a stabilizer
 chain gives without listing the group, so a bag of any arity is built
 without enumerating its group.  Any other group is still enumerated when the
@@ -323,18 +324,56 @@ _HOLE = _Hole()
 
 def _orbit_min(record: tuple, vals: tuple) -> tuple:
     """The least member of the orbit of ``vals`` under the group of the op
-    whose ``(arity, orbits, getters)`` record is given: ``vals`` itself for
-    a rigid op, else ``vals`` sorted inside each orbit, or its least image."""
-    _, orbits, getters = record
-    if orbits is not None:
-        out = list(vals)
-        for orb in orbits:
-            for k, v in zip(orb, sorted([vals[k] for k in orb])):
-                out[k] = v
-        return tuple(out)
+    whose ``(arity, plan, getters)`` record is given: ``vals`` itself for a
+    rigid op, its least image under ``getters`` for an enumerated group, or,
+    for a group symmetric on each orbit, ``vals`` sorted inside each orbit.
+
+    The plan (see ``_sort_plan``) gathers each orbit's values and sorts
+    them, then appends the fixed positions' values, so the list holds the
+    values in layout order; one scatter puts them back in position order.
+    When one orbit holds every position, the whole tuple is sorted.
+    """
+    _, plan, getters = record
+    if plan is not None:
+        gathers, fixed, scatter = plan
+        if scatter is None:
+            return tuple(sorted(vals))
+        out = []
+        for gather in gathers:
+            out += sorted(gather(vals))
+        if fixed is not None:
+            out += fixed(vals)
+        return scatter(out)
     if getters is not None:
         return min([act(vals) for act in getters])
     return vals
+
+
+def _gather(positions: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    # A slice for a run of consecutive positions, else one index per
+    # position: either way the values come back as a tuple.
+    first = positions[0]
+    if positions == tuple(range(first, first + len(positions))):
+        return itemgetter(slice(first, first + len(positions)))
+    return itemgetter(*positions)
+
+
+def _sort_plan(arity: int, orbits: Sequence[tuple[int, ...]]) -> tuple:
+    """``_orbit_min``'s plan for the group symmetric on each of the disjoint
+    position tuples ``orbits``, each of two or more positions.
+
+    The plan is one gather per orbit, one for the fixed positions (``None``
+    when there are none), and the scatter from layout order (the orbits,
+    then the fixed positions) back to position order: ``tuple`` when the
+    two orders agree, and ``None`` when one orbit holds every position, so
+    the whole tuple is sorted.
+    """
+    fixed = tuple(k for k in range(arity) if all(k not in orb for orb in orbits))
+    if len(orbits) == 1 and not fixed:
+        return (), None, None
+    layout = tuple(chain.from_iterable(orbits)) + fixed
+    scatter = tuple if layout == identity_perm(arity) else itemgetter(*invert_perm(layout))
+    return tuple(map(_gather, orbits)), _gather(fixed) if fixed else None, scatter
 
 
 class SignatureSpec:
@@ -342,14 +381,16 @@ class SignatureSpec:
 
     At build time every operation's generators are checked, the order of
     its group comes from ``stabilizer_chain`` and its position orbits from
-    the generators.  The op's record holds its arity and what
-    ``_orbit_min`` needs: nothing for a trivial group, the orbits to sort
-    within for a group symmetric on each orbit, or else one precomputed
+    the generators.  The op's record ``(arity, plan, getters)`` holds its
+    arity and what ``_orbit_min`` needs: both ``None`` for a trivial group;
+    for a group symmetric on each orbit, a plan from ``_sort_plan`` (an
+    ``itemgetter`` per orbit and one for the fixed positions, to gather,
+    then one to scatter back), built once per op; or else one precomputed
     ``itemgetter`` per group element, acting as ``apply_perm``.  Only that
     last kind of group is enumerated; the others list their elements only
     if ``PermGroup.elements`` is read.  Canonical tuples, canonical contexts
-    (the hole as ``_HOLE``) and refinement keys all go through that one
-    routine.
+    (the hole as ``_HOLE``), loaded rows and refinement keys all go through
+    that one routine.
 
     Raises ``SignatureError`` on duplicate ids, arities that are not
     nonnegative ints, bad permutations, or arities above ``arity_cap``.
@@ -365,7 +406,7 @@ class SignatureSpec:
         self.arity_cap = arity_cap
         self._by_id: dict[str, OperationSymbol] = {}
         self._groups: dict[str, PermGroup] = {}
-        # (arity, orbits to sort or None, group getters or None) per op id.
+        # (arity, sort plan or None, group getters or None) per op id.
         self._records: dict[str, tuple] = {}
         if not self.ops:
             raise SignatureError("signature needs at least one operation")
@@ -394,7 +435,8 @@ class SignatureSpec:
                 eq_key.append((op.id, op.arity, ("enum", group.elements)))
             else:
                 eq_key.append((op.id, op.arity, ("sym", orbits)))
-            self._records[op.id] = (op.arity, orbits or None, getters)
+            plan = _sort_plan(op.arity, orbits) if orbits else None
+            self._records[op.id] = (op.arity, plan, getters)
         self._eq_key = tuple(eq_key)
         # Equal groups have equal orders, so this hash agrees with ==
         # without hashing every element.

@@ -3,7 +3,8 @@
 ``sig_poly`` is the rigid arity-0/1/2 signature used for tree-shaped terms,
 ``sig_bag`` its unordered-pair variant, ``sig_server`` the mixed signature
 with a three-successor operation whose last two positions commute, and
-``sig_mixed`` one operation per kind of symmetry up to arity 4.  The
+``sig_mixed`` one operation per kind of symmetry up to arity 4, and
+``sig_rotations`` two groups that are no product of symmetric groups.  The
 builders below the fixtures (``build``, ``relabel``, ``blow_up``,
 ``ladder_tree``) are shared by several test modules.
 """
@@ -61,6 +62,18 @@ def sig_mixed():
             OperationSymbol("pair", 2, ((1, 0),)),
             OperationSymbol("tri", 3, ((0, 2, 1),)),
             OperationSymbol("cyc", 4, ((1, 2, 3, 0),)),
+        ]
+    )
+
+
+@pytest.fixture(scope="session")
+def sig_rotations():
+    # Two groups that are no product of symmetric groups: C_3 and D_6.
+    return SignatureSpec(
+        [
+            OperationSymbol("z", 0),
+            OperationSymbol("c3", 3, ((1, 2, 0),)),
+            OperationSymbol("d6", 6, ((1, 2, 3, 4, 5, 0), (5, 4, 3, 2, 1, 0))),
         ]
     )
 

@@ -456,6 +456,103 @@ def test_disjoint_union_shifts_second(sig_poly, u_loop):
     assert c.transition == (FElem("u", (0,)), FElem("u", (1,)))
 
 
+def _reference_beh_equal(pc1, pc2):
+    # Reference: refine the disjoint union of the two inputs themselves,
+    # whatever is kept on them.
+    union = disjoint_union(pc1.coalg, pc2.coalg)
+    r1 = pc1.root
+    r2 = pc2.root + pc1.coalg.n_states
+    states = reachable_states(union, r1)
+    seen = set(states)
+    for s in reachable_states(union, r2):
+        if s not in seen:
+            states.append(s)
+            seen.add(s)
+    block = _refine(union, states)
+    return block[r1] == block[r2]
+
+
+def _fresh_and_minimized(pc):
+    # Two equal objects: one with nothing kept, one with its quotient kept.
+    fresh, warm = PointedCoalgebra(pc.coalg, pc.root), PointedCoalgebra(pc.coalg, pc.root)
+    minimize(warm)
+    return fresh, warm
+
+
+def _assert_matches_reference_warm_or_fresh(pairs):
+    equal = 0
+    for pc1, pc2 in pairs:
+        want = _reference_beh_equal(pc1, pc2)
+        equal += want
+        sides1, sides2 = _fresh_and_minimized(pc1), _fresh_and_minimized(pc2)
+        for a in sides1:
+            for b in sides2:
+                assert beh_equal(a, b) == want
+        # beh_equal minimizes nothing: the fresh sides stay fresh.
+        assert coalgebra._kept_quotient(sides1[0]) is sides1[0]
+        assert coalgebra._kept_quotient(sides2[0]) is sides2[0]
+    assert 0 < equal < len(pairs)
+
+
+def test_beh_equal_matches_reference_warm_or_fresh_exhaustively(sig_bag):
+    pcs = [
+        PointedCoalgebra(c, r)
+        for n in (1, 2)
+        for c in all_coalgebras(sig_bag, n)
+        for r in range(n)
+    ]
+    _assert_matches_reference_warm_or_fresh(
+        [(p1, p2) for i, p1 in enumerate(pcs) for p2 in pcs[i:]]
+    )
+
+
+@pytest.mark.parametrize("name", ["sig_mixed", "sig_rotations"])
+def test_beh_equal_matches_reference_warm_or_fresh_on_blow_ups(name, request):
+    rng = random.Random(4099)
+    pairs = []
+    for c in _merging_systems(request.getfixturevalue(name)):
+        big, pi = blow_up(rng, c)
+        root = rng.randrange(c.n_states)
+        # The blow-up's copy of the root, then of a state that may differ.
+        for other in (root, rng.randrange(c.n_states)):
+            pairs.append((PointedCoalgebra(c, root), PointedCoalgebra(big, pi[other])))
+    _assert_matches_reference_warm_or_fresh(pairs)
+
+
+def test_beh_equal_refines_the_kept_quotients(sig_mixed, monkeypatch):
+    sizes = []
+    refine = coalgebra._refine
+
+    def recording(c, states):
+        sizes.append(len(states))
+        return refine(c, states)
+
+    monkeypatch.setattr(coalgebra, "_refine", recording)
+    rng = random.Random(17)
+    merged = 0
+    for c in _merging_systems(sig_mixed):
+        big, pi = blow_up(rng, c)
+        root = rng.randrange(c.n_states)
+        pc1, pc2 = PointedCoalgebra(c, root), PointedCoalgebra(big, pi[root])
+        reach = [len(reachable_states(pc.coalg, pc.root)) for pc in (pc1, pc2)]
+        # A fresh pair: every reachable state of both inputs.
+        sizes.clear()
+        assert beh_equal(pc1, pc2)
+        assert sizes == [sum(reach)]
+        # One side minimized: its quotient beside the other input.
+        q1 = minimize(pc1)[0].coalg.n_states
+        sizes.clear()
+        assert beh_equal(pc1, pc2)
+        assert sizes == [q1 + reach[1]]
+        # Both minimized: exactly the two quotients.
+        q2 = minimize(pc2)[0].coalg.n_states
+        sizes.clear()
+        assert beh_equal(pc1, pc2) and beh_equal(pc2, pc1)
+        assert sizes == [q1 + q2] * 2
+        merged += q1 + q2 < sum(reach)
+    assert merged > 0
+
+
 def test_canonical_key_fingerprints_behaviour(sig_bag):
     pcs = [
         PointedCoalgebra(c, r)
@@ -465,7 +562,7 @@ def test_canonical_key_fingerprints_behaviour(sig_bag):
     keys = [canonical_key(pc) for pc in pcs]
     for i, p1 in enumerate(pcs):
         for j in range(i + 1, len(pcs)):
-            assert (keys[i] == keys[j]) == beh_equal(p1, pcs[j])
+            assert (keys[i] == keys[j]) == _reference_beh_equal(p1, pcs[j])
 
 
 def test_canonical_key_ignores_state_numbering(sig_bag, sig_server, sig_wide):

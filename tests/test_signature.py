@@ -308,18 +308,6 @@ def test_canonical_forms_match_enumeration_on_random_groups():
     assert sorted_groups > 0 and fallback_groups > 0
 
 
-@pytest.fixture(scope="module")
-def sig_rotations():
-    # Two groups that are no product of symmetric groups: C_3 and D_6.
-    return SignatureSpec(
-        [
-            OperationSymbol("z", 0),
-            OperationSymbol("c3", 3, ((1, 2, 0),)),
-            OperationSymbol("d6", 6, ((1, 2, 3, 4, 5, 0), (5, 4, 3, 2, 1, 0))),
-        ]
-    )
-
-
 def nested_elems(sig, rng, count):
     """``count`` distinct elements over ``sig`` whose arguments are elements."""
     pool = [sig.canonical_tuple(op.id, ()) for op in sig.ops if op.arity == 0]
@@ -486,6 +474,44 @@ def test_s8_canonical_forms_match_enumeration():
     assert (ctx.hole, ctx.sides) == reference_context(group, 3, sides)
 
 
+# Sortable groups whose orbits are not contiguous or leave fixed positions:
+# S_2 on {0, 2}, S_2 x S_2 on {0, 1} and {3, 4}, and S_3 x S_3 on the
+# interleaved orbits {0, 2, 4} and {1, 3, 5}; then S_2 x S_2 on {0, 1} and
+# {2, 3}, whose layout is already in position order.
+PLANNED_GROUPS = (
+    (4, ((2, 1, 0, 3),)),
+    (5, ((1, 0, 2, 3, 4), (0, 1, 2, 4, 3))),
+    (6, ((2, 1, 0, 3, 4, 5), (2, 1, 4, 3, 0, 5), (0, 3, 2, 1, 4, 5), (0, 3, 2, 5, 4, 1))),
+    (4, ((1, 0, 2, 3), (0, 1, 3, 2))),
+)
+
+
+def test_planned_orbit_min_is_the_least_image():
+    rng = random.Random(15)
+    cases = PLANNED_GROUPS + tuple((n, _full(n)) for n in range(2, 9))
+    shapes = set()
+    for arity, gens in cases:
+        record = SignatureSpec([OperationSymbol("o", arity, gens)])._records["o"]
+        _, plan, getters = record
+        assert plan is not None and getters is None
+        _, fixed, scatter = plan
+        shapes.add((fixed is None, scatter is None, scatter is tuple))
+        group = enumerate_group(gens, arity)
+        samples = [tuple(rng.randrange(3) for _ in range(arity)) for _ in range(4)]
+        samples.append(tuple(range(arity, 0, -1)))
+        # Contexts: the hole marker at every position.
+        samples += [v[:h] + (_HOLE,) + v[h + 1 :] for v in samples[-2:] for h in range(arity)]
+        for vals in samples:
+            assert _orbit_min(record, vals) == reference_tuple(group, vals)
+    # Fixed positions or none; a scatter, the identity layout, a whole sort.
+    assert shapes == {
+        (False, False, False),
+        (True, False, False),
+        (True, False, True),
+        (True, True, False),
+    }
+
+
 # -- native value order against the old sort keys ------------------------
 
 
@@ -556,14 +582,15 @@ def test_native_order_is_the_old_key_order(name, value_pools, sig_mixed, sig_rot
     for sig in (sig_mixed, sig_rotations):
         for op in sig.ops:
             group, record = sig.group(op.id), sig._records[op.id]
+            orbits = sortable_orbits(group.generators, group)
             for _ in range(20):
                 vals = tuple(rng.choices(pool, k=op.arity))
                 images = [apply_perm(g, vals) for g in group]
                 least = min(images, key=old_tuple_key)
                 assert min(images) == least
                 assert _orbit_min(record, vals) == least
-                if record[1] is not None:
-                    for orb in record[1]:
+                if orbits is not None:
+                    for orb in orbits:
                         here = [vals[k] for k in orb]
                         assert sorted(here) == sorted(here, key=old_value_key)
 
