@@ -7,10 +7,11 @@ indices, so a successor occurring twice in a tuple contributes two edges.
 Includes strongly connected components (iterative path-based search, linear
 time), behavioural minimization by worklist partition refinement (only the
 predecessors of states that changed block are re-signed, O(m log n)
-signings), behavioural equality on the disjoint union (of the minimal
-quotients already kept on the inputs, where there are any), and an
-isomorphism-invariant canonical key used to fingerprint behaviours.
-Refinement block ids depend only on structure, never on state numbering.
+signings), behavioural equality, and an isomorphism-invariant canonical key
+used to fingerprint behaviours.  Refinement block ids depend only on
+structure, never on state numbering.  What is derived from a pointed
+coalgebra is derived once and kept on it: the rule and the list of kept
+values are in the ``PointedCoalgebra`` docstring.
 """
 
 from __future__ import annotations
@@ -68,14 +69,26 @@ class Coalgebra:
 class PointedCoalgebra:
     """A coalgebra and a root state.
 
-    The value is immutable, so what is derived from it is derived once: the
-    thinness analysis (``thinness._thin_components``) and the minimal
-    quotient (``minimize``) are computed on first use and kept on the object
-    by ``_memo``, outside the dataclass fields, so ``==``, ``hash`` and
-    ``repr`` see only ``coalg`` and ``root``.  ``beh_equal`` reuses a kept
-    quotient (read by ``_kept_quotient``) but never computes one.
+    The value is immutable, so what is derived from it is derived once:
+    each kept value is computed on first use and kept on the object by
+    ``_memo``, under one name and by one builder:
+
+    * ``_thin``: the thinness analysis (``thinness._thin_components``),
+      shared by ``is_thin``, the census, ``state_ranks``, ``cb_rank`` and
+      ``extract_normal``;
+    * ``_minimal``: the minimal quotient and state mapping (``minimize``);
+    * ``_key``: the canonical key (``canonical_key``), read off the kept
+      quotient;
+    * ``_ranks``: the rank table (``normalform.state_ranks``), which
+      ``extract_normal`` reads.
+
+    Kept values are no dataclass fields, so ``==``, ``hash`` and ``repr``
+    see only ``coalg`` and ``root``; pickling carries them along, and
     ``dataclasses.replace`` builds a new object, which analyses itself
-    afresh.
+    afresh.  No consumer writes to a kept value: ``minimize`` and
+    ``state_ranks`` hand out fresh copies of their dictionaries, and
+    ``beh_equal`` only reads whether a quotient is kept
+    (``_kept_quotient``).
     """
 
     coalg: Coalgebra
@@ -93,7 +106,7 @@ def _memo(pc: PointedCoalgebra, name: str, build):
     The only writer of a pointed coalgebra's instance dictionary: the frozen
     dataclass forbids plain assignment, and a value derived from a frozen
     object never goes stale.  Every caller gets the same value, so none may
-    write to it: ``minimize`` hands out a copy of its mapping.
+    write to it.  The kept values are listed in ``PointedCoalgebra``.
     """
     try:
         return pc.__dict__[name]
@@ -447,8 +460,8 @@ def minimize(pc: PointedCoalgebra) -> tuple[PointedCoalgebra, dict[int, int]]:
     The mapping covers exactly the states reachable from the root.  Quotient
     states are numbered in BFS order from the root's block.  The refinement
     runs once per pointed coalgebra: the pair is kept on ``pc`` (see
-    ``_memo``), and every call returns the same quotient with a fresh copy
-    of the mapping, which the caller may change freely.
+    ``PointedCoalgebra``), and every call returns the same quotient with a
+    fresh copy of the mapping, which the caller may change freely.
     """
     quotient, mapping = _memo(pc, "_minimal", _minimal_quotient)
     return quotient, dict(mapping)
@@ -484,24 +497,33 @@ def _minimal_quotient(pc: PointedCoalgebra) -> tuple[PointedCoalgebra, dict[int,
     return PointedCoalgebra(quotient, 0), mapping
 
 
-def disjoint_union(c1: Coalgebra, c2: Coalgebra) -> Coalgebra:
+def _require_same_sig(c1: Coalgebra, c2: Coalgebra) -> None:
     if c1.sig != c2.sig:
         raise CoalgebraError("signature mismatch in disjoint union")
+
+
+def disjoint_union(c1: Coalgebra, c2: Coalgebra) -> Coalgebra:
+    _require_same_sig(c1, c2)
     n1 = c1.n_states
     shifted = [c1.sig.map_elem(e, lambda t: t + n1) for e in c2.transition]
     return Coalgebra(c1.sig, c1.transition + tuple(shifted))
 
 
 def beh_equal(pc1: PointedCoalgebra, pc2: PointedCoalgebra) -> bool:
-    """Behavioural equality of the two roots, by refining a disjoint union.
+    """Behavioural equality of the two roots.
 
-    Each side enters the union as the minimal quotient ``minimize`` has
-    already kept on it, or as itself when none is kept: a quotient's root is
-    behaviourally equal to its input's root, so the answer is the same
-    either way, and a side minimized before costs only its quotient's
-    states.  Nothing is minimized here, so a fresh pair is refined once.
+    Minimizes nothing; the path taken depends only on what is kept on the
+    two objects (see ``PointedCoalgebra``).  When both sides have a kept
+    quotient, the answer is whether their canonical keys are equal, and the
+    keys stay kept.  Otherwise it refines one disjoint union, in which each
+    side enters as its kept quotient or as itself: a quotient's root is
+    behaviourally equal to its input's root.  So a fresh pair is refined
+    once, which is cheaper than minimizing and keying both sides.
     """
     q1, q2 = _kept_quotient(pc1), _kept_quotient(pc2)
+    if q1 is not pc1 and q2 is not pc2:
+        _require_same_sig(pc1.coalg, pc2.coalg)
+        return canonical_key(pc1) == canonical_key(pc2)
     union = disjoint_union(q1.coalg, q2.coalg)
     r1 = q1.root
     r2 = q2.root + q1.coalg.n_states
@@ -518,12 +540,17 @@ def beh_equal(pc1: PointedCoalgebra, pc2: PointedCoalgebra) -> bool:
 def canonical_key(pc: PointedCoalgebra):
     """A hashable key equal for exactly the behaviourally equal roots.
 
-    Minimizes, then refines the quotient, whose blocks all end singletons
-    with ids fixed by structure: the root's id and one row per state in id
-    order.  Minimizing first matters, since which part keeps a block id
-    depends on part sizes, which differ between equal systems.
+    Refines the minimal quotient, whose blocks all end singletons with ids
+    fixed by structure: the key is the root's id and one row per state in
+    id order.  Minimizing first matters, since which part keeps a block id
+    depends on part sizes, which differ between equal systems.  The
+    quotient and the key are kept on ``pc`` (see ``PointedCoalgebra``).
     """
-    mpc, _ = minimize(pc)
+    return _memo(pc, "_key", _key)
+
+
+def _key(pc: PointedCoalgebra):
+    mpc = _memo(pc, "_minimal", _minimal_quotient)[0]
     c = mpc.coalg
     n = c.n_states
     block = _refine(c, range(n))

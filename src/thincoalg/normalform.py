@@ -25,7 +25,8 @@ above ``k``: exactly one position attains ``k``, and ``x`` is ``"g"`` of value
 ``k`` in turn (an ``"f"`` state of value at most ``k`` has major at most
 ``k``).  A spine walk meets no choice.
 
-``extract_normal`` reads the term off its input's table, by induction on
+The table is kept on the pointed coalgebra (see ``PointedCoalgebra``), and
+``extract_normal`` reads the term off that kept table, by induction on
 rank: an ``"f"`` state's term is the canonical tuple of its successors'
 terms, and a ``"g"`` state's term is its forced spine, walked until a state
 repeats, with the sides replaced by their terms.  Each step depends only on
@@ -43,7 +44,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .coalgebra import PointedCoalgebra, canonical_key
+from .coalgebra import PointedCoalgebra, _memo, canonical_key
 from .errors import TermError
 from .semantics import unfold
 from .signature import ContextElem, SignatureSpec
@@ -92,8 +93,16 @@ class StateRankTable:
 def state_ranks(pc: PointedCoalgebra) -> StateRankTable:
     """Least term rank per reachable state of a thin coalgebra.
 
-    Raises ``NonThinError`` on non-thin input.
+    The table is computed once per pointed coalgebra and kept on ``pc``
+    (see ``PointedCoalgebra``); every call returns it with a fresh copy of
+    ``entries``, which the caller may change freely.  Raises
+    ``NonThinError`` on non-thin input.
     """
+    table = _memo(pc, "_ranks", _rank_table)
+    return StateRankTable(table.root, dict(table.entries))
+
+
+def _rank_table(pc: PointedCoalgebra) -> StateRankTable:
     comps, comp, looped = _require_thin(pc)
     trans = pc.coalg.transition
 
@@ -135,17 +144,18 @@ def state_ranks(pc: PointedCoalgebra) -> StateRankTable:
 def extract_normal(pc: PointedCoalgebra) -> Term:
     """The normal term of a thin pointed coalgebra.
 
-    Ranks the input, then follows the best kind at every state.  A stream
-    state's spine has one step per state, so its walk is forced: follow the
-    spine positions until a state repeats, which closes the lasso, and build
-    each context once, over the terms of its sides.  Deterministic, and the
-    same term object for behaviourally equivalent inputs.
+    Reads the input's kept rank table (see ``state_ranks``), then follows
+    the best kind at every state.  A stream state's spine has one step per
+    state, so its walk is forced: follow the spine positions until a state
+    repeats, which closes the lasso, and build each context once, over the
+    terms of its sides.  Deterministic, and the same term object for
+    behaviourally equivalent inputs.
 
     States are extracted from an explicit stack: a state is built once every
     state its term mentions is built.  Sides of a lone state sit strictly
     below it, so these demands never loop back.
     """
-    table = state_ranks(pc).entries
+    table = _memo(pc, "_ranks", _rank_table).entries
     trans = pc.coalg.transition
     sig = pc.coalg.sig
 

@@ -17,8 +17,9 @@ same object reads it without searching again.  ``is_thin`` builds the
 witness from it, ``count_infinite_paths_class`` (the census) folds path
 counts over it, and, through the ``_require_thin`` guard,
 ``normalform.state_ranks`` and ``treeenc.cb_rank`` fold ranks over it, as
-does ``normalform.extract_normal``, which reads its term off ``state_ranks``
-of its input.  All of it runs in time linear in states plus edges.
+does ``normalform.extract_normal``, which reads its term off the rank table
+``state_ranks`` keeps on its input.  All of it runs in time linear in
+states plus edges.
 
 The witness is a shortest access path from the root to the offender and two
 cycles through it, each closed along a shortest in-component route back.  Both

@@ -6,7 +6,8 @@ with a three-successor operation whose last two positions commute, and
 ``sig_mixed`` one operation per kind of symmetry up to arity 4, and
 ``sig_rotations`` two groups that are no product of symmetric groups.  The
 builders below the fixtures (``build``, ``relabel``, ``blow_up``,
-``ladder_tree``) are shared by several test modules.
+``ladder_tree``) and the reference ``_reference_beh_equal`` are shared by
+several test modules.
 """
 
 import itertools
@@ -19,6 +20,7 @@ from thincoalg import (
     PointedCoalgebra,
     SignatureSpec,
 )
+from thincoalg.coalgebra import _refine, disjoint_union, reachable_states
 
 
 @pytest.fixture(scope="session")
@@ -203,3 +205,19 @@ def ladder_tree(n, rng):
     trans[pending[0]][1][pending[1]] = len(trans)
     trans.append(["c", []])
     return trans, loops
+
+
+def _reference_beh_equal(pc1, pc2):
+    # Reference: refine the disjoint union of the two inputs themselves,
+    # whatever is kept on them.
+    union = disjoint_union(pc1.coalg, pc2.coalg)
+    r1 = pc1.root
+    r2 = pc2.root + pc1.coalg.n_states
+    states = reachable_states(union, r1)
+    seen = set(states)
+    for s in reachable_states(union, r2):
+        if s not in seen:
+            states.append(s)
+            seen.add(s)
+    block = _refine(union, states)
+    return block[r1] == block[r2]

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import all_coalgebras, blow_up, build, relabel
+from conftest import _reference_beh_equal, all_coalgebras, blow_up, build, relabel
 from thincoalg import (
     Coalgebra,
     CoalgebraError,
@@ -449,27 +449,17 @@ def test_beh_equal_on_fixtures(u_loop, bag_ss, bag_tree, sig_poly):
 def test_beh_equal_requires_shared_signature(u_loop, bag_ss):
     with pytest.raises(CoalgebraError, match="signature"):
         beh_equal(u_loop, bag_ss)
+    # The same error once both sides have kept quotients, and keys compare.
+    a, b = (PointedCoalgebra(pc.coalg, pc.root) for pc in (u_loop, bag_ss))
+    minimize(a)
+    minimize(b)
+    with pytest.raises(CoalgebraError, match="signature mismatch in disjoint union"):
+        beh_equal(b, a)
 
 
 def test_disjoint_union_shifts_second(sig_poly, u_loop):
     c = disjoint_union(u_loop.coalg, u_loop.coalg)
     assert c.transition == (FElem("u", (0,)), FElem("u", (1,)))
-
-
-def _reference_beh_equal(pc1, pc2):
-    # Reference: refine the disjoint union of the two inputs themselves,
-    # whatever is kept on them.
-    union = disjoint_union(pc1.coalg, pc2.coalg)
-    r1 = pc1.root
-    r2 = pc2.root + pc1.coalg.n_states
-    states = reachable_states(union, r1)
-    seen = set(states)
-    for s in reachable_states(union, r2):
-        if s not in seen:
-            states.append(s)
-            seen.add(s)
-    block = _refine(union, states)
-    return block[r1] == block[r2]
 
 
 def _fresh_and_minimized(pc):
@@ -544,11 +534,15 @@ def test_beh_equal_refines_the_kept_quotients(sig_mixed, monkeypatch):
         sizes.clear()
         assert beh_equal(pc1, pc2)
         assert sizes == [q1 + reach[1]]
-        # Both minimized: exactly the two quotients.
+        # Both minimized: each quotient once, for its key, and the keys are
+        # kept, so neither a second call nor canonical_key refines again.
         q2 = minimize(pc2)[0].coalg.n_states
         sizes.clear()
-        assert beh_equal(pc1, pc2) and beh_equal(pc2, pc1)
-        assert sizes == [q1 + q2] * 2
+        assert beh_equal(pc1, pc2)
+        assert sizes == [q1, q2]
+        sizes.clear()
+        assert beh_equal(pc2, pc1) and canonical_key(pc1) == canonical_key(pc2)
+        assert sizes == []
         merged += q1 + q2 < sum(reach)
     assert merged > 0
 

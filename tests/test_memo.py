@@ -1,10 +1,12 @@
 """The analyses kept on a pointed coalgebra never change an answer.
 
-A ``PointedCoalgebra`` keeps its thinness analysis and its minimal quotient
-after their first use.  On random thin and non-thin systems over a rigid, a
-bag and a C_3 signature, every consumer must answer on a warm object exactly
-as on a fresh one, whatever ran before it, and the kept values must stay
-invisible to equality, hashing, ``repr``, pickling and
+A ``PointedCoalgebra`` keeps its thinness analysis, minimal quotient,
+canonical key and rank table after their first use (the list is in its
+docstring).  On random thin and non-thin systems over a rigid, a bag and a
+C_3 signature, every consumer must answer on a warm object exactly as on a
+fresh one, whatever ran before it, ``beh_equal`` must answer as the
+reference union refinement whatever is kept on either side, and the kept
+values must stay invisible to equality, hashing, ``repr``, pickling and
 ``dataclasses.replace``.
 """
 
@@ -15,9 +17,10 @@ import random
 
 import pytest
 
-from conftest import build
+from conftest import _reference_beh_equal, build
 from thincoalg import NonThinError, OperationSymbol, PointedCoalgebra, SignatureSpec
-from thincoalg.coalgebra import canonical_key, minimize
+from thincoalg import coalgebra
+from thincoalg.coalgebra import beh_equal, canonical_key, minimize
 from thincoalg.errors import SignatureError
 from thincoalg.normalform import extract_normal, state_ranks
 from thincoalg.thinness import count_infinite_paths_class, is_thin
@@ -116,6 +119,75 @@ def test_minimize_hands_out_a_copy_of_its_mapping(systems):
         assert again == quotient and fresh_mapping == want
         fresh_mapping.clear()
         assert minimize(pc)[1] == want == minimize(_fresh(pc))[1]
+
+
+def test_state_ranks_hands_out_a_copy_of_its_entries(systems):
+    thin = 0
+    for pc in systems:
+        if not is_thin(pc).thin:
+            continue
+        thin += 1
+        table = state_ranks(pc)
+        want = dict(table.entries)
+        table.entries[pc.root] = None
+        table.entries[-1] = None
+        again = state_ranks(pc)
+        assert again.root == pc.root and again.entries == want
+        again.entries.clear()
+        assert state_ranks(pc).entries == want == state_ranks(_fresh(pc)).entries
+        assert extract_normal(pc) == extract_normal(_fresh(pc))
+    assert thin > 0
+
+
+# What may be kept on a side before ``beh_equal`` sees it.
+WARMUPS = {
+    "fresh": (),
+    "minimized": (minimize,),
+    "keyed": (canonical_key,),
+    "analysed": THIN + QUOTIENT,
+}
+
+
+def _warm(pc, fns):
+    warm = _fresh(pc)
+    for fn in fns:
+        _outcome(fn, warm)
+    return warm
+
+
+def _beh_pairs(systems):
+    """Each system beside a fresh copy of its minimal quotient (equal), and
+    beside the next three systems (mostly unequal)."""
+    pairs = []
+    for i, pc in enumerate(systems):
+        quotient = minimize(_fresh(pc))[0]
+        pairs.append((pc, PointedCoalgebra(quotient.coalg, quotient.root)))
+        pairs.extend((pc, other) for other in systems[i + 1 : i + 4])
+    return pairs
+
+
+def test_warm_beh_equal_pairs_match_the_reference(systems):
+    answers = set()
+    for pc1, pc2 in _beh_pairs(systems):
+        want = _reference_beh_equal(pc1, pc2)
+        answers.add(want)
+        keys = (canonical_key(_fresh(pc1)), canonical_key(_fresh(pc2)))
+        for fns1, fns2 in itertools.product(WARMUPS.values(), repeat=2):
+            for flip in (False, True):
+                a, b = _warm(pc1, fns1), _warm(pc2, fns2)
+                seen = [(repr(x), hash(x)) for x in (a, b)]
+                got = beh_equal(b, a) if flip else beh_equal(a, b)
+                assert got == want, (fns1, fns2, flip)
+                assert [(repr(x), hash(x)) for x in (a, b)] == seen
+                assert (canonical_key(a), canonical_key(b)) == keys
+                assert a == pc1 and b == pc2
+                loaded = pickle.loads(pickle.dumps((a, b)))
+                assert loaded == (a, b) and beh_equal(*loaded) == want
+                assert (canonical_key(loaded[0]), canonical_key(loaded[1])) == keys
+                moved = dataclasses.replace(a, root=(pc1.root + 1) % pc1.coalg.n_states)
+                assert coalgebra._kept_quotient(moved) is moved
+                assert canonical_key(moved) == canonical_key(_fresh(moved))
+    assert answers == {True, False}
 
 
 def test_kept_analyses_are_invisible(systems):

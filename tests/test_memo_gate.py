@@ -8,6 +8,10 @@ longer matches, so no other code in the package may use them.  Standard
 library only (``ast``).  The gate cannot see types: it flags each of these
 names anywhere in the package outside two functions, ``_memo`` and the
 read-only ``coalgebra._kept_quotient``, which is checked to only read.
+A second check keeps the names of kept values apart: every
+``_memo(pc, NAME, BUILD)`` call passes a string literal as ``NAME``, and
+each name always comes with the same builder, so no two analyses can
+overwrite or read each other's kept value.
 """
 
 import ast
@@ -165,3 +169,80 @@ class Frozen:
 '''
     assert instance_writes(ast.parse(src), ("_memo",)) == [7, 10, 13, 16, 19]
     assert instance_writes(ast.parse(src)) == [3, 4, 7, 10, 13, 16, 19]
+
+
+def memo_faults(trees):
+    """Faults of the ``_memo`` calls in ``trees`` (module name to parsed
+    source): a call whose name is no string literal, one not of the form
+    ``_memo(pc, NAME, BUILD)``, and a name that comes with two builders.
+    Builders are compared as source expressions."""
+    faults = []
+    builders = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if getattr(func, "id", getattr(func, "attr", None)) != "_memo":
+                continue
+            where = f"{module}:{node.lineno}"
+            if len(node.args) != 3 or node.keywords:
+                faults.append(f"{where}: not _memo(pc, NAME, BUILD)")
+                continue
+            name, build = node.args[1], ast.unparse(node.args[2])
+            if not (isinstance(name, ast.Constant) and isinstance(name.value, str)):
+                faults.append(f"{where}: name {ast.unparse(name)} is no string literal")
+                continue
+            builders.setdefault(name.value, {}).setdefault(build, where)
+    for name, seen in sorted(builders.items()):
+        if len(seen) > 1:
+            by = ", ".join(f"{build} at {where}" for build, where in sorted(seen.items()))
+            faults.append(f"{name!r} kept by {by}")
+    return faults
+
+
+def test_each_kept_name_has_one_builder():
+    trees = {name: _parse(name) for name in MODULES}
+    assert memo_faults(trees) == []
+    names = {
+        node.args[1].value
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_memo"
+    }
+    assert names == {"_thin", "_minimal", "_key", "_ranks"}
+
+
+def test_the_name_check_sees_clashes():
+    clean = '''
+def a(pc):
+    return _memo(pc, "_x", build_x)
+
+def b(pc):
+    return coalgebra._memo(pc, "_x", build_x)[0]
+'''
+    clash = '''
+def c(pc):
+    return _memo(pc, "_x", build_y)
+'''
+    computed = '''
+NAME = "_x"
+
+def d(pc):
+    return _memo(pc, NAME, build_x)
+
+def e(pc):
+    return _memo(pc, "_" + "x", build_x)
+
+def f(pc):
+    return _memo(pc, name="_x", build=build_x)
+'''
+    assert memo_faults({"clean": ast.parse(clean)}) == []
+    assert memo_faults({"clean": ast.parse(clean), "clash": ast.parse(clash)}) == [
+        "'_x' kept by build_x at clean:3, build_y at clash:3"
+    ]
+    assert memo_faults({"computed": ast.parse(computed)}) == [
+        "computed:5: name NAME is no string literal",
+        "computed:8: name '_' + 'x' is no string literal",
+        "computed:11: not _memo(pc, NAME, BUILD)",
+    ]
