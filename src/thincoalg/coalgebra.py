@@ -272,7 +272,6 @@ class Condensation:
 
     components: tuple[tuple[int, ...], ...]
     component_of: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
 
 
 def _csr(c: Coalgebra) -> tuple[array, array]:
@@ -348,29 +347,10 @@ def _scc_csr(offs: array, flat: array, roots: Iterable[int], n: int):
     return comps, comp
 
 
-def _condensation(c: Coalgebra, roots: Iterable[int]) -> Condensation:
-    offs, flat = _csr(c)
-    comps, comp = _scc_csr(offs, flat, roots, c.n_states)
-    edges = set()
-    for s in range(c.n_states):
-        cs = comp[s]
-        if cs == -1:
-            continue
-        for i in range(offs[s], offs[s + 1]):
-            ct = comp[flat[i]]
-            if ct != cs:
-                edges.add((cs, ct))
-    return Condensation(tuple(comps), tuple(comp), tuple(sorted(edges)))
-
-
-def sccs(c: Coalgebra) -> Condensation:
-    """Strongly connected components of the successor graph, all states."""
-    return _condensation(c, range(c.n_states))
-
-
 def reachable_condensation(pc: PointedCoalgebra) -> Condensation:
     """SCCs of the part reachable from the root; unreachable states get -1."""
-    return _condensation(pc.coalg, [pc.root])
+    comps, comp = _scc_csr(*_csr(pc.coalg), [pc.root], pc.coalg.n_states)
+    return Condensation(tuple(comps), tuple(comp))
 
 
 # -- behavioural equivalence ---------------------------------------------

@@ -61,7 +61,7 @@ from .terms import (
 from .thinness import _require_thin
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateRank:
     """Rank data for one state.
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .coalgebra import Coalgebra, PointedCoalgebra, beh_equal
 from .signature import SignatureSpec
 from .terms import FNode, GNode, Term
-from .thinness import is_thin
 
 
 @dataclass
@@ -58,8 +57,3 @@ def unfold(sig: SignatureSpec, t: Term) -> UnfoldResult:
 def beh_equal_terms(sig: SignatureSpec, a: Term, b: Term) -> bool:
     """Do the two terms unfold to behaviourally equal states?"""
     return beh_equal(unfold(sig, a).pc, unfold(sig, b).pc)
-
-
-def check_constructible_thin(sig: SignatureSpec, t: Term) -> bool:
-    """Every finitary term should unfold thin; exposed as a cross-check."""
-    return is_thin(unfold(sig, t).pc).thin

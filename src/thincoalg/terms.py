@@ -344,7 +344,7 @@ def subterms(t: Term) -> frozenset[Term]:
     return frozenset(out)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Rank:
     major: int
     minor: int

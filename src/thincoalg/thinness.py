@@ -11,15 +11,13 @@ that divergence into uncountably many infinite paths.
 builds the offset/flat adjacency once, finds the components by one path-based
 search (Gabow 2000) in reverse topological order, and flags each component
 that is a loop while it counts in-component edges, stopping at the first
-offender.  There is one analysis per pointed coalgebra: it is computed on
-first use and kept on the immutable object, so every later consumer of the
-same object reads it without searching again.  ``is_thin`` builds the
-witness from it, ``count_infinite_paths_class`` (the census) folds path
-counts over it, and, through the ``_require_thin`` guard,
-``normalform.state_ranks`` and ``treeenc.cb_rank`` fold ranks over it, as
-does ``normalform.extract_normal``, which reads its term off the rank table
-``state_ranks`` keeps on its input.  All of it runs in time linear in
-states plus edges.
+offender.  It is computed once per pointed coalgebra and kept on the object
+(see ``PointedCoalgebra``).  ``is_thin`` builds the witness from it.  Behind
+the ``_require_thin`` guard, one fold, ``_run_space``, gives the rank of the
+run space and its run count, which answer both the census
+(``count_infinite_paths_class``) and ``treeenc.cb_rank``;
+``normalform.state_ranks`` folds its rank table over the same components.
+All of it runs in time linear in states plus edges.
 
 The witness is a shortest access path from the root to the offender and two
 cycles through it, each closed along a shortest in-component route back.  Both
@@ -242,43 +240,56 @@ class PathClassCount:
     count: Optional[int] = None
 
 
+def _run_space(pc: PointedCoalgebra) -> tuple[int, int]:
+    """``(rank, runs)`` of the infinite runs from the root of a thin coalgebra.
+
+    ``rank`` is the Cantor-Bendixson rank of the run space; ``runs`` counts
+    the infinite runs when ``rank`` is at most 1 and is 0 above that, where
+    they are countably many.  One fold in reverse topological order: a loop
+    takes one more than its largest exit rank (at least 1) and carries one
+    run at rank 1, a lone state takes its largest successor rank and sums
+    its successors' runs.  Raises ``NonThinError`` like ``_require_thin``.
+    """
+    comps, comp, looped = _require_thin(pc)
+    trans = pc.coalg.transition
+    rank = [0] * len(trans)
+    runs = [0] * len(trans)
+    for ci, members in enumerate(comps):
+        if looped[ci]:
+            r = 1
+            for s in members:
+                for t in trans[s].args:
+                    if comp[t] != ci and rank[t] >= r:
+                        r = rank[t] + 1
+            k = 1 if r == 1 else 0
+            for s in members:
+                rank[s] = r
+                runs[s] = k
+        else:
+            (s,) = members
+            r = k = 0
+            for t in trans[s].args:
+                if rank[t] > r:
+                    r = rank[t]
+                k += runs[t]
+            rank[s] = r
+            runs[s] = k if r <= 1 else 0
+    return rank[pc.root], runs[pc.root]
+
+
 def count_infinite_paths_class(pc: PointedCoalgebra) -> PathClassCount:
     """Classify the number of infinite paths from the root.
 
-    Thin coalgebras admit an exact count: loops with no live exit contribute
-    one path each, a loop with a live exit already gives one path per number
-    of turns, and trivial states sum over their successor edges.
+    A non-thin coalgebra has uncountably many, read off the kept analysis
+    without a witness.  Otherwise the rank of the run space settles the
+    class (see ``_run_space``): none at rank 0, finitely many at rank 1,
+    countably many above.
     """
-    _, _, comps, comp, looped, offender = _thin_components(pc)
-    if offender is not None:
+    if _thin_components(pc)[5] is not None:
         return PathClassCount("uncountable")
-    c = pc.coalg
-
-    INF = -1  # countably infinite marker
-    value: dict[int, int] = {}
-    for ci, members in enumerate(comps):
-        if looped[ci]:
-            live_exit = False
-            for s in members:
-                for t in c.transition[s].args:
-                    if comp[t] != ci and value[t] != 0:
-                        live_exit = True
-            v = INF if live_exit else 1
-            for s in members:
-                value[s] = v
-        else:
-            s = members[0]
-            total = 0
-            for t in c.transition[s].args:
-                if value[t] == INF:
-                    total = INF
-                    break
-                total += value[t]
-            value[s] = total
-
-    v = value[pc.root]
-    if v == 0:
+    r, runs = _run_space(pc)
+    if r == 0:
         return PathClassCount("zero")
-    if v == INF:
-        return PathClassCount("countably-infinite")
-    return PathClassCount("finite", v)
+    if r == 1:
+        return PathClassCount("finite", runs)
+    return PathClassCount("countably-infinite")

@@ -9,10 +9,9 @@ reads the same set from the unfolded coalgebra, so the two must agree at
 every depth.
 
 ``cb_rank`` measures how often isolated branches must be removed before the
-branch set stops changing, folded in reverse topological order over the
-thinness check's reachable condensation (``thinness._require_thin``): a lone
-state takes the largest value among its successors, a loop adds one to the
-largest value reachable through its exits (one when it has none).
+branch set stops changing: the rank of the run space, which
+``thinness._run_space`` folds over the thinness check's reachable
+condensation, the same fold that answers the path census.
 For thin inputs this equals the major rank of the normal term.
 """
 
@@ -25,7 +24,7 @@ from .errors import SignatureError, TermError
 from .semantics import unfold
 from .signature import SignatureSpec
 from .terms import FNode, Term
-from .thinness import _require_thin
+from .thinness import _run_space
 
 Word = tuple[int, ...]
 
@@ -130,19 +129,4 @@ def dom_tree(sig: SignatureSpec, t: Term, depth: int) -> WordTree:
 def cb_rank(pc: PointedCoalgebra) -> int:
     """Derivative rank of the behaviour tree of a thin rigid coalgebra."""
     assert_polynomial(pc.coalg.sig)
-    comps, comp, looped = _require_thin(pc)
-    c = pc.coalg
-    value: dict[int, int] = {}
-    for ci, members in enumerate(comps):
-        if looped[ci]:
-            v = 1
-            for s in members:
-                for t in c.transition[s].args:
-                    if comp[t] != ci:
-                        v = max(v, 1 + value[t])
-            for s in members:
-                value[s] = v
-        else:
-            (s,) = members
-            value[s] = max((value[t] for t in c.transition[s].args), default=0)
-    return value[pc.root]
+    return _run_space(pc)[0]

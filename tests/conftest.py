@@ -6,8 +6,9 @@ with a three-successor operation whose last two positions commute, and
 ``sig_mixed`` one operation per kind of symmetry up to arity 4, and
 ``sig_rotations`` two groups that are no product of symmetric groups.  The
 builders below the fixtures (``build``, ``relabel``, ``blow_up``,
-``ladder_tree``) and the reference ``_reference_beh_equal`` are shared by
-several test modules.
+``ladder_tree``) and the references ``_reference_beh_equal``,
+``_reference_census`` and ``_reference_cb_rank`` are shared by several test
+modules.
 """
 
 import itertools
@@ -21,6 +22,8 @@ from thincoalg import (
     SignatureSpec,
 )
 from thincoalg.coalgebra import _refine, disjoint_union, reachable_states
+from thincoalg.thinness import PathClassCount, _require_thin, _thin_components
+from thincoalg.treeenc import assert_polynomial
 
 
 @pytest.fixture(scope="session")
@@ -221,3 +224,63 @@ def _reference_beh_equal(pc1, pc2):
             seen.add(s)
     block = _refine(union, states)
     return block[r1] == block[r2]
+
+
+def _reference_census(pc):
+    # Reference: a fold of path counts per state, with a marker for
+    # countably many, independent of the rank.
+    _, _, comps, comp, looped, offender = _thin_components(pc)
+    if offender is not None:
+        return PathClassCount("uncountable")
+    c = pc.coalg
+
+    INF = -1  # countably infinite marker
+    value: dict[int, int] = {}
+    for ci, members in enumerate(comps):
+        if looped[ci]:
+            live_exit = False
+            for s in members:
+                for t in c.transition[s].args:
+                    if comp[t] != ci and value[t] != 0:
+                        live_exit = True
+            v = INF if live_exit else 1
+            for s in members:
+                value[s] = v
+        else:
+            s = members[0]
+            total = 0
+            for t in c.transition[s].args:
+                if value[t] == INF:
+                    total = INF
+                    break
+                total += value[t]
+            value[s] = total
+
+    v = value[pc.root]
+    if v == 0:
+        return PathClassCount("zero")
+    if v == INF:
+        return PathClassCount("countably-infinite")
+    return PathClassCount("finite", v)
+
+
+def _reference_cb_rank(pc):
+    # Reference: a fold of derivative ranks per state, independent of the
+    # path counts.
+    assert_polynomial(pc.coalg.sig)
+    comps, comp, looped = _require_thin(pc)
+    c = pc.coalg
+    value: dict[int, int] = {}
+    for ci, members in enumerate(comps):
+        if looped[ci]:
+            v = 1
+            for s in members:
+                for t in c.transition[s].args:
+                    if comp[t] != ci:
+                        v = max(v, 1 + value[t])
+            for s in members:
+                value[s] = v
+        else:
+            (s,) = members
+            value[s] = max((value[t] for t in c.transition[s].args), default=0)
+    return value[pc.root]

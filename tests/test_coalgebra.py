@@ -16,7 +16,9 @@ from thincoalg import (
 from thincoalg import coalgebra
 from thincoalg.coalgebra import (
     FinitePath,
+    _csr,
     _refine,
+    _scc_csr,
     beh_equal,
     canonical_key,
     cycles_through,
@@ -26,7 +28,6 @@ from thincoalg.coalgebra import (
     paths_to_depth,
     reachable_condensation,
     reachable_states,
-    sccs,
     validate_path,
 )
 from thincoalg.thinness import oracle_is_thin
@@ -222,35 +223,46 @@ def _reach_matrix(c):
     return reach
 
 
+def _components(c, roots):
+    # The component search over every state reached from ``roots``.
+    return _scc_csr(*_csr(c), roots, c.n_states)
+
+
 def test_components_match_mutual_reachability(sig_bag, sig_server):
     rng = random.Random(977)
     for sig in (sig_bag, sig_server):
         for _ in range(30):
             c = _rand_pc(rng, sig, rng.randrange(1, 7)).coalg
             n = c.n_states
-            cond = sccs(c)
+            comps, comp = _components(c, range(n))
             reach = _reach_matrix(c)
-            assert sorted(s for comp in cond.components for s in comp) == list(range(n))
+            assert sorted(s for members in comps for s in members) == list(range(n))
             for i in range(n):
-                assert i in cond.components[cond.component_of[i]]
+                assert i in comps[comp[i]]
                 for j in range(n):
                     same = i == j or (reach[i][j] and reach[j][i])
-                    assert (cond.component_of[i] == cond.component_of[j]) == same
+                    assert (comp[i] == comp[j]) == same
 
 
 def test_component_order_is_reverse_topological(sig_bag, sig_server):
     rng = random.Random(978)
     for sig in (sig_bag, sig_server):
         for _ in range(30):
-            c = _rand_pc(rng, sig, rng.randrange(1, 7)).coalg
-            assert all(b < a for a, b in sccs(c).edges)
+            pc = _rand_pc(rng, sig, rng.randrange(1, 7))
+            c = pc.coalg
+            for roots in (range(c.n_states), [pc.root]):
+                _, comp = _components(c, roots)
+                for s in range(c.n_states):
+                    if comp[s] != -1:
+                        assert all(comp[t] <= comp[s] for t in c.transition[s].args)
 
 
 def test_condensation_of_server(server_pc):
     cond = reachable_condensation(server_pc)
     assert cond.components == ((1,), (2,), (0,))
     assert cond.component_of == (2, 0, 1)
-    assert cond.edges == ((2, 0), (2, 1))
+    comps, comp = _components(server_pc.coalg, [server_pc.root])
+    assert (tuple(comps), tuple(comp)) == (cond.components, cond.component_of)
 
 
 def test_condensation_skips_unreachable(sig_poly):
@@ -258,16 +270,18 @@ def test_condensation_skips_unreachable(sig_poly):
     cond = reachable_condensation(pc)
     assert cond.components == ((0,),)
     assert cond.component_of == (0, -1)
-    # an unreachable state's edge into the reachable part is no edge
+    # an unreachable state pointing into the reachable part stays unvisited
     pc = build(sig_poly, [("u", (0,)), ("b", (1, 0))])
-    assert reachable_condensation(pc).edges == ()
+    comps, comp = _components(pc.coalg, [pc.root])
+    assert comps == [(0,)]
+    assert list(comp) == [0, -1]
 
 
 def test_single_component_cycle(bag_tree):
-    cond = sccs(bag_tree.coalg)
-    assert len(cond.components) == 1
-    assert sorted(cond.components[0]) == [0, 1, 2]
-    assert cond.edges == ()
+    comps, comp = _components(bag_tree.coalg, range(3))
+    assert len(comps) == 1
+    assert sorted(comps[0]) == [0, 1, 2]
+    assert list(comp) == [0, 0, 0]
 
 
 # -- minimization ---------------------------------------------------------

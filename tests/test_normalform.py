@@ -5,13 +5,21 @@ from typing import NamedTuple
 
 import pytest
 
-from conftest import all_coalgebras, blow_up, build, ladder_tree
+from conftest import (
+    _reference_cb_rank,
+    _reference_census,
+    all_coalgebras,
+    blow_up,
+    build,
+    ladder_tree,
+)
 from thincoalg import (
     Coalgebra,
     NonThinError,
     PointedCoalgebra,
     TermError,
     cb_rank,
+    count_infinite_paths_class,
     is_thin,
 )
 from thincoalg.coalgebra import minimize, reachable_condensation
@@ -456,7 +464,7 @@ def test_extraction_on_random_blow_ups(sig_poly, sig_bag, sig_server, sig_mixed)
 def test_rank_table_matches_extracted_terms(sig_poly, sig_bag, sig_server, sig_mixed):
     # Every entry of the table, not only the root's, is the rank of the
     # term extracted at that state; on rigid ops its major is the
-    # derivative rank.
+    # derivative rank.  The census and the rank also match their references.
     sigs = (sig_poly, sig_bag, sig_server, sig_mixed)
     rng = random.Random(3141)
     checked = 0
@@ -464,8 +472,10 @@ def test_rank_table_matches_extracted_terms(sig_poly, sig_bag, sig_server, sig_m
         for s, e in state_ranks(pc).entries.items():
             at = PointedCoalgebra(pc.coalg, s)
             assert rank(extract_normal(at)) == e.rank
+            assert count_infinite_paths_class(at) == _reference_census(at)
             if pc.coalg.sig is sig_poly:
                 assert cb_rank(at) == e.rank.major
+                assert cb_rank(at) == _reference_cb_rank(at)
                 checked += 1
     assert checked > 500
 

@@ -5,11 +5,18 @@ from array import array
 
 import pytest
 
-from conftest import all_coalgebras, build
+from conftest import (
+    _reference_cb_rank,
+    _reference_census,
+    all_coalgebras,
+    build,
+    ladder_tree,
+)
 from thincoalg import (
     NonThinError,
     OperationSymbol,
     PointedCoalgebra,
+    SignatureError,
     SignatureSpec,
     coalgebra,
     thinness,
@@ -222,9 +229,121 @@ def test_census_matches_first_principles(sig_bag, sig_poly, sig_server):
             pc = _rand_pc(rng, sig, rng.randrange(1, nmax + 1))
             got = count_infinite_paths_class(pc)
             assert got == _census_oracle(pc)
+            _assert_matches_references(pc)
             kinds.add(got.kind)
     assert kinds == {"zero", "finite", "countably-infinite", "uncountable"}
 
+
+# -- one fold for the census and the rank ---------------------------------
+
+
+def _answer(fn, pc):
+    # The value, or the type and the verdict of the error raised.
+    try:
+        return fn(pc)
+    except NonThinError as exc:
+        return NonThinError, exc.verdict
+    except SignatureError as exc:
+        return SignatureError, str(exc)
+
+
+def _assert_matches_references(pc):
+    assert count_infinite_paths_class(pc) == _reference_census(pc)
+    assert _answer(cb_rank, pc) == _answer(_reference_cb_rank, pc)
+
+
+@pytest.mark.parametrize("name", ["sig_poly", "sig_bag", "sig_server"])
+def test_census_and_rank_match_the_references_exhaustively(name, request):
+    sig = request.getfixturevalue(name)
+    kinds = set()
+    for n in range(1, 4):
+        for c in all_coalgebras(sig, n):
+            for root in range(n):
+                pc = PointedCoalgebra(c, root)
+                _assert_matches_references(pc)
+                kinds.add(count_infinite_paths_class(pc).kind)
+    assert kinds == {"zero", "finite", "countably-infinite", "uncountable"}
+
+
+def test_census_and_rank_match_the_references_on_random_sets(sig_bag, sig_poly, sig_server):
+    # The sets drawn by the quotient and rerooting tests, at every state,
+    # and larger rigid systems.
+    for seed, count in ((909, 40), (910, 60)):
+        rng = random.Random(seed)
+        for sig in (sig_bag, sig_server):
+            for _ in range(count):
+                pc = _rand_pc(rng, sig, rng.randrange(1, 7))
+                for s in reachable_states(pc.coalg, pc.root):
+                    _assert_matches_references(PointedCoalgebra(pc.coalg, s))
+    rng = random.Random(911)
+    for _ in range(300):
+        _assert_matches_references(_rand_pc(rng, sig_poly, rng.randrange(1, 12)))
+
+
+def test_census_and_rank_match_the_references_on_ladder_trees(sig_poly):
+    for size, seeds in ((40, range(6)), (400, range(3)), (4000, (7,))):
+        for seed in seeds:
+            raw, loops = ladder_tree(size, random.Random(seed))
+            pc = build(sig_poly, raw)
+            assert cb_rank(pc) == loops
+            _assert_matches_references(pc)
+            if size <= 400:
+                for s in range(pc.coalg.n_states):
+                    _assert_matches_references(PointedCoalgebra(pc.coalg, s))
+
+
+def _doubling_chain(sig_poly, length, bottom):
+    # State s < length branches twice to s + 1; ``bottom`` rows follow.
+    rows = [("b", (s + 1, s + 1)) for s in range(length)]
+    return build(sig_poly, rows + bottom)
+
+
+def test_rank_one_doubling_chain_counts_exactly(sig_poly):
+    pc = _doubling_chain(sig_poly, 64, [("u", (64,))])
+    assert count_infinite_paths_class(pc) == PathClassCount("finite", 2**64)
+    assert cb_rank(pc) == 1
+    _assert_matches_references(pc)
+
+
+def test_rank_two_doubling_chain_is_countable(sig_poly):
+    # The chain ends in a loop whose exit reaches a second loop.
+    pc = _doubling_chain(sig_poly, 64, [("b", (64, 65)), ("u", (65,))])
+    assert count_infinite_paths_class(pc) == PathClassCount("countably-infinite")
+    assert cb_rank(pc) == 2
+    _assert_matches_references(pc)
+
+
+def _refuse(*args):
+    raise AssertionError("not to be called here")
+
+
+def test_census_of_non_thin_systems_builds_no_witness_and_runs_no_fold(
+    monkeypatch, sig_bag, sig_poly
+):
+    monkeypatch.setattr(thinness, "_witness", _refuse)
+    monkeypatch.setattr(thinness, "_run_space", _refuse)
+    seen = 0
+    for sig in (sig_bag, sig_poly):
+        for n in range(1, 3):
+            for c in all_coalgebras(sig, n):
+                for root in range(n):
+                    pc = PointedCoalgebra(c, root)
+                    if _reference_census(pc).kind == "uncountable":
+                        assert count_infinite_paths_class(pc) == PathClassCount("uncountable")
+                        seen += 1
+    pc = gen_coalgebra(sig_poly, 2000, 5, weights=(0, 1, 3))
+    assert _reference_census(pc).kind == "uncountable"
+    assert count_infinite_paths_class(pc) == PathClassCount("uncountable")
+    assert seen > 0
+
+
+def test_rank_rejects_symmetric_signatures_before_any_thinness_work(
+    monkeypatch, bag_ss, server_pc
+):
+    monkeypatch.setattr(thinness, "_analyse", _refuse)
+    for pc in (bag_ss, server_pc):
+        with pytest.raises(SignatureError):
+            cb_rank(PointedCoalgebra(pc.coalg, pc.root))
 
 # -- the shared condensation analysis -------------------------------------
 
