@@ -12,7 +12,7 @@ Commands:
     eq          behavioural equality of two terms
     unfold      unfold a term into a coalgebra
     encode      position-word tree of a term (rigid signatures)
-    cb-rank     derivative rank of a thin rigid coalgebra
+    cb-rank     derivative rank of a thin coalgebra
     gen         write a seeded random coalgebra or term file
     bench       time the thinness check on seeded random instances
 
@@ -412,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.set_defaults(func=cmd_encode)
 
-    p = sub.add_parser("cb-rank", parents=[common], help="derivative rank")
+    p = sub.add_parser("cb-rank", parents=[common], help="derivative rank of the runs")
     p.add_argument("signature")
     p.add_argument("coalgebra")
     p.add_argument("--root", type=int)

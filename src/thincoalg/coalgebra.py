@@ -79,14 +79,14 @@ class PointedCoalgebra:
     * ``_minimal``: the minimal quotient and state mapping (``minimize``);
     * ``_key``: the canonical key (``canonical_key``), read off the kept
       quotient;
-    * ``_ranks``: the rank table (``normalform.state_ranks``), which
-      ``extract_normal`` reads.
+    * ``_ranks``: the per-state rank lists (``thinness._rank_fold``), read
+      by the census, ``cb_rank``, ``state_ranks`` and ``extract_normal``.
 
     Kept values are no dataclass fields, so ``==``, ``hash`` and ``repr``
     see only ``coalg`` and ``root``; pickling carries them along, and
     ``dataclasses.replace`` builds a new object, which analyses itself
-    afresh.  No consumer writes to a kept value: ``minimize`` and
-    ``state_ranks`` hand out fresh copies of their dictionaries, and
+    afresh.  No consumer writes to a kept value: ``minimize`` hands out a
+    fresh copy of its mapping, ``state_ranks`` builds a fresh table, and
     ``beh_equal`` only reads whether a quotient is kept
     (``_kept_quotient``).
     """

@@ -1,32 +1,12 @@
 """Normal forms: least-rank terms denoting a given thin behaviour.
 
-``state_ranks`` computes, per reachable state of a thin coalgebra, the least
+``state_ranks`` reports, per reachable state of a thin coalgebra, the least
 rank of any term unfolding to that state's behaviour, together with which node
-kind attains it.  It is an integer fold over the components and loop flags of
-the thinness check's reachable condensation (``thinness._require_thin``), in
-reverse topological order:
+kind attains it.  Both come from the rank lists that ``thinness._rank_fold``
+keeps on the pointed coalgebra; its docstring states the rules, and why every
+stream state has exactly one spine step.
 
-* A state inside a loop component always takes a stream node.  Its spine is
-  the loop itself, the only spine that avoids mentioning a same-component
-  state as a side, so its value is the largest major among out-of-component
-  successors of the loop, and its major is one more.  Its spine step is the
-  one position whose successor stays in the component.
-* A lone state compares the branching candidate (largest successor major,
-  one more than the largest successor minor) with the stream candidate
-  ``(1 + g, 0)``.  Each position ``u`` whose successor has a value scores
-  the larger of that value and the largest major at the other positions
-  (from the top two majors, duplicates counted); ``g`` is the least score.
-
-Every ``"g"`` state has exactly one spine step: a loop member by thinness,
-and a lone one of value ``k`` because ``k + 1`` is at most its branching major
-(stream minor 0, branching minor at least 1).  The other positions of a best
-step have major at most ``k``, so its successor ``x`` is the only one of major
-above ``k``: exactly one position attains ``k``, and ``x`` is ``"g"`` of value
-``k`` in turn (an ``"f"`` state of value at most ``k`` has major at most
-``k``).  A spine walk meets no choice.
-
-The table is kept on the pointed coalgebra (see ``PointedCoalgebra``), and
-``extract_normal`` reads the term off that kept table, by induction on
+``extract_normal`` reads the term off those kept lists, by induction on
 rank: an ``"f"`` state's term is the canonical tuple of its successors'
 terms, and a ``"g"`` state's term is its forced spine, walked until a state
 repeats, with the sides replaced by their terms.  Each step depends only on
@@ -44,7 +24,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .coalgebra import PointedCoalgebra, _memo, canonical_key
+from .coalgebra import PointedCoalgebra, canonical_key
 from .errors import TermError
 from .semantics import unfold
 from .signature import ContextElem, SignatureSpec
@@ -58,18 +38,14 @@ from .terms import (
     subterms,
     term_size,
 )
-from .thinness import _require_thin
+from .thinness import _ranks, _thin_components
 
 
 @dataclass(frozen=True, slots=True)
 class StateRank:
-    """Rank data for one state.
-
-    ``kind`` is "f" or "g".  ``g_value`` is set for every state that reaches
-    a cycle: the least value of a stream node at that state.  ``spine`` is
-    set for a "g" state only: the argument position of its one spine step,
-    the step extraction takes.
-    """
+    """Rank data for one state: its least term rank, the kind "f" or "g"
+    that attains it, and its ``g_value`` and ``spine`` (see
+    ``thinness._rank_fold``); extraction takes the spine step."""
 
     rank: Rank
     kind: str
@@ -93,74 +69,40 @@ class StateRankTable:
 def state_ranks(pc: PointedCoalgebra) -> StateRankTable:
     """Least term rank per reachable state of a thin coalgebra.
 
-    The table is computed once per pointed coalgebra and kept on ``pc``
-    (see ``PointedCoalgebra``); every call returns it with a fresh copy of
-    ``entries``, which the caller may change freely.  Raises
-    ``NonThinError`` on non-thin input.
+    Built on each call, in component order, from the rank lists kept on
+    ``pc`` (see ``thinness._rank_fold``), so the caller may change the
+    table freely.  Raises ``NonThinError`` on non-thin input.
     """
-    table = _memo(pc, "_ranks", _rank_table)
-    return StateRankTable(table.root, dict(table.entries))
-
-
-def _rank_table(pc: PointedCoalgebra) -> StateRankTable:
-    comps, comp, looped = _require_thin(pc)
-    trans = pc.coalg.transition
-
-    entries: dict[int, StateRank] = {}
-    for ci, members in enumerate(comps):
-        if looped[ci]:
-            outside = 0
-            for s in members:
-                for t in trans[s].args:
-                    if comp[t] != ci:
-                        outside = max(outside, entries[t].rank.major)
-            r = Rank(outside + 1, 0)
-            for s in members:
-                u = next(u for u, t in enumerate(trans[s].args) if comp[t] == ci)
-                entries[s] = StateRank(r, "g", outside, u)
-            continue
-
-        (s,) = members
-        succ = [entries[t] for t in trans[s].args]
-        if not succ:
-            entries[s] = StateRank(Rank(0, 1), "f")
-            continue
-        majors = [e.rank.major for e in succ]
-        *_, second, top = [0, *sorted(majors)]
-        f_rank = Rank(top, 1 + max(e.rank.minor for e in succ))
-        g_val = spine = None
-        for u, e in enumerate(succ):
-            if e.g_value is not None:
-                score = max(e.g_value, second if majors[u] == top else top)
-                if g_val is None or score < g_val:
-                    g_val, spine = score, u
-        if g_val is not None and Rank(g_val + 1, 0) < f_rank:
-            entries[s] = StateRank(Rank(g_val + 1, 0), "g", g_val, spine)
-        else:
-            entries[s] = StateRank(f_rank, "f", g_val)
+    major, minor, g_value, spine, _ = _ranks(pc)
+    entries = {}
+    for members in _thin_components(pc)[2]:
+        for s in members:
+            u = spine[s]
+            kind = "f" if u is None else "g"
+            entries[s] = StateRank(Rank(major[s], minor[s]), kind, g_value[s], u)
     return StateRankTable(pc.root, entries)
 
 
 def extract_normal(pc: PointedCoalgebra) -> Term:
     """The normal term of a thin pointed coalgebra.
 
-    Reads the input's kept rank table (see ``state_ranks``), then follows
-    the best kind at every state.  A stream state's spine has one step per
-    state, so its walk is forced: follow the spine positions until a state
-    repeats, which closes the lasso, and build each context once, over the
-    terms of its sides.  Deterministic, and the same term object for
+    Reads the spine steps kept on the input (see ``thinness._rank_fold``),
+    then follows the best kind at every state.  A stream state's spine has
+    one step per state, so its walk is forced: follow the spine positions
+    until a state repeats, which closes the lasso, and build each context
+    once, over the terms of its sides.  Deterministic, and the same term object for
     behaviourally equivalent inputs.
 
     States are extracted from an explicit stack: a state is built once every
     state its term mentions is built.  Sides of a lone state sit strictly
     below it, so these demands never loop back.
     """
-    table = _memo(pc, "_ranks", _rank_table).entries
+    spine = _ranks(pc)[3]
     trans = pc.coalg.transition
     sig = pc.coalg.sig
 
     def sides(w: int) -> tuple[int, ...]:
-        u = table[w].spine
+        u = spine[w]
         return trans[w].args[:u] + trans[w].args[u + 1 :]
 
     memo: dict[int, Term] = {}
@@ -172,7 +114,7 @@ def extract_normal(pc: PointedCoalgebra) -> Term:
         if s in memo:
             stack.pop()
             continue
-        if table[s].kind == "f":
+        if spine[s] is None:
             need = [x for x in trans[s].args if x not in memo]
         else:
             if s not in lassos:
@@ -180,19 +122,19 @@ def extract_normal(pc: PointedCoalgebra) -> Term:
                 while cur not in seen:
                     seen[cur] = len(walked)
                     walked.append(cur)
-                    cur = trans[cur].args[table[cur].spine]
+                    cur = trans[cur].args[spine[cur]]
                 lassos[s] = walked, seen[cur]
             need = [x for w in lassos[s][0] for x in sides(w) if x not in memo]
         if need:
             stack.extend(need)
             continue
         stack.pop()
-        if table[s].kind == "f":
+        if spine[s] is None:
             memo[s] = FNode(sig.map_elem(trans[s], memo.__getitem__))
         else:
             walked, cut = lassos.pop(s)
             ctxs = tuple(
-                sig.canonical_context(trans[w].op, table[w].spine, [memo[x] for x in sides(w)])
+                sig.canonical_context(trans[w].op, spine[w], [memo[x] for x in sides(w)])
                 for w in walked
             )
             memo[s] = GNode(LassoStream(ctxs[:cut], ctxs[cut:]))

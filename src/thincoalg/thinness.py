@@ -13,11 +13,11 @@ search (Gabow 2000) in reverse topological order, and flags each component
 that is a loop while it counts in-component edges, stopping at the first
 offender.  It is computed once per pointed coalgebra and kept on the object
 (see ``PointedCoalgebra``).  ``is_thin`` builds the witness from it.  Behind
-the ``_require_thin`` guard, one fold, ``_run_space``, gives the rank of the
-run space and its run count, which answer both the census
-(``count_infinite_paths_class``) and ``treeenc.cb_rank``;
-``normalform.state_ranks`` folds its rank table over the same components.
-All of it runs in time linear in states plus edges.
+the ``_require_thin`` guard, one fold, ``_rank_fold`` (whose docstring
+states the rules), gives each reachable state its least term rank, spine
+step and run count.  Kept on the object too, it answers the census
+(``count_infinite_paths_class``), ``treeenc.cb_rank``, ``state_ranks`` and
+``extract_normal``.  All of it runs in time linear in states plus edges.
 
 The witness is a shortest access path from the root to the offender and two
 cycles through it, each closed along a shortest in-component route back.  Both
@@ -240,56 +240,113 @@ class PathClassCount:
     count: Optional[int] = None
 
 
-def _run_space(pc: PointedCoalgebra) -> tuple[int, int]:
-    """``(rank, runs)`` of the infinite runs from the root of a thin coalgebra.
+def _ranks(pc: PointedCoalgebra):
+    """The lists of ``_rank_fold``, built once per pointed coalgebra and kept
+    on it; no consumer writes to them."""
+    return _memo(pc, "_ranks", _rank_fold)
 
-    ``rank`` is the Cantor-Bendixson rank of the run space; ``runs`` counts
-    the infinite runs when ``rank`` is at most 1 and is 0 above that, where
-    they are countably many.  One fold in reverse topological order: a loop
-    takes one more than its largest exit rank (at least 1) and carries one
-    run at rank 1, a lone state takes its largest successor rank and sums
-    its successors' runs.  Raises ``NonThinError`` like ``_require_thin``.
+
+def _rank_fold(pc: PointedCoalgebra):
+    """Per-state lists ``(major, minor, g_value, spine, runs)`` of a thin
+    coalgebra, filled at its reachable states.
+
+    ``(major, minor)`` is the least rank of a term unfolding to the state's
+    behaviour.  ``g_value``, set at every state that reaches a cycle, is the
+    least value of a stream node there.  ``spine`` is set at the states a
+    stream node attains (kind ``"g"``; the rest are ``"f"``): the position
+    of its one spine step.  ``runs`` counts the infinite runs from the
+    state up to major 1 and is 0 above, where they are countably many.
+    One fold over ``_require_thin``'s components, in reverse topological
+    order:
+
+    * A loop member takes a stream node along the loop, the only spine that
+      names no same-component state as a side: its value is the largest
+      major among the loop's exits, its major one more, its spine step the
+      one position staying in the component.  It carries one run at major 1.
+    * A lone state compares the branching candidate (largest successor
+      major, one more than the largest successor minor) with the stream
+      candidate ``(1 + g, 0)``.  Each position ``u`` whose successor has a
+      value scores the larger of that value and the largest major at the
+      other positions (from the top two majors, duplicates counted); ``g``
+      is the least score, its first position the spine step.  Its runs are
+      its successors' runs summed.
+
+    Every ``"g"`` state has exactly one spine step: a loop member by
+    thinness, and a lone one of value ``k`` because ``k + 1`` is at most its
+    branching major (stream minor 0, branching minor at least 1).  The other
+    positions of a best step have major at most ``k``, so its successor
+    ``x`` is the only one of major above ``k``: exactly one position attains
+    ``k``, and ``x`` is ``"g"`` of value ``k`` in turn (an ``"f"`` state of
+    value at most ``k`` has major at most ``k``).  A spine walk meets no
+    choice.  So a lone state of either kind takes the largest major of its
+    successors, and ``major`` is also the Cantor-Bendixson rank of the run
+    space.
     """
     comps, comp, looped = _require_thin(pc)
     trans = pc.coalg.transition
-    rank = [0] * len(trans)
-    runs = [0] * len(trans)
+    n = len(trans)
+    major, minor, runs = [0] * n, [0] * n, [0] * n
+    g_value, spine = [None] * n, [None] * n
     for ci, members in enumerate(comps):
         if looped[ci]:
-            r = 1
+            outside = 0
             for s in members:
                 for t in trans[s].args:
-                    if comp[t] != ci and rank[t] >= r:
-                        r = rank[t] + 1
-            k = 1 if r == 1 else 0
+                    if comp[t] != ci and major[t] > outside:
+                        outside = major[t]
             for s in members:
-                rank[s] = r
-                runs[s] = k
+                args = trans[s].args
+                u = 0
+                while comp[args[u]] != ci:
+                    u += 1
+                major[s], g_value[s], spine[s] = outside + 1, outside, u
+                runs[s] = 0 if outside else 1
+            continue
+
+        (s,) = members
+        args = trans[s].args
+        if not args:
+            minor[s] = 1
+            continue
+        top = second = low = k = 0
+        for t in args:
+            m = major[t]
+            if m > top:
+                top, second = m, top
+            elif m > second:
+                second = m
+            if minor[t] > low:
+                low = minor[t]
+            k += runs[t]
+        g = best = None
+        for u, t in enumerate(args):
+            v = g_value[t]
+            if v is not None:
+                score = max(v, second if major[t] == top else top)
+                if g is None or score < g:
+                    g, best = score, u
+        g_value[s], runs[s] = g, k if top <= 1 else 0
+        if g is not None and g < top:  # (1 + g, 0) is below (top, 1 + low)
+            major[s], spine[s] = g + 1, best
         else:
-            (s,) = members
-            r = k = 0
-            for t in trans[s].args:
-                if rank[t] > r:
-                    r = rank[t]
-                k += runs[t]
-            rank[s] = r
-            runs[s] = k if r <= 1 else 0
-    return rank[pc.root], runs[pc.root]
+            major[s], minor[s] = top, low + 1
+    return major, minor, g_value, spine, runs
 
 
 def count_infinite_paths_class(pc: PointedCoalgebra) -> PathClassCount:
     """Classify the number of infinite paths from the root.
 
     A non-thin coalgebra has uncountably many, read off the kept analysis
-    without a witness.  Otherwise the rank of the run space settles the
-    class (see ``_run_space``): none at rank 0, finitely many at rank 1,
-    countably many above.
+    without a witness.  Otherwise the rank of the run space, the root's
+    major (see ``_rank_fold``), settles the class: none at rank 0, finitely
+    many at rank 1, countably many above.
     """
     if _thin_components(pc)[5] is not None:
         return PathClassCount("uncountable")
-    r, runs = _run_space(pc)
+    major, _, _, _, runs = _ranks(pc)
+    r = major[pc.root]
     if r == 0:
         return PathClassCount("zero")
     if r == 1:
-        return PathClassCount("finite", runs)
+        return PathClassCount("finite", runs[pc.root])
     return PathClassCount("countably-infinite")

@@ -1,4 +1,4 @@
-"""Word-tree encoding and derivative rank, for rigid (polynomial) signatures.
+"""Word-tree encoding for rigid (polynomial) signatures, and derivative rank.
 
 When every group is trivial, argument positions are rigid and a behaviour is
 a prefix-closed set of position words.  ``enc`` computes that set directly
@@ -8,11 +8,11 @@ the spine of hole directions and glues the side trees off it.  ``dom_tree``
 reads the same set from the unfolded coalgebra, so the two must agree at
 every depth.
 
-``cb_rank`` measures how often isolated branches must be removed before the
-branch set stops changing: the rank of the run space, which
-``thinness._run_space`` folds over the thinness check's reachable
-condensation, the same fold that answers the path census.
-For thin inputs this equals the major rank of the normal term.
+``cb_rank`` measures how often isolated runs must be removed before the
+run space stops changing, on any signature: the Cantor-Bendixson rank of
+the runs from the root, the root's major in the rank lists that
+``thinness._rank_fold`` keeps, the same fold that answers the path census.
+For thin inputs this is the major rank of the normal term.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import SignatureError, TermError
 from .semantics import unfold
 from .signature import SignatureSpec
 from .terms import FNode, Term
-from .thinness import _run_space
+from .thinness import _ranks
 
 Word = tuple[int, ...]
 
@@ -127,6 +127,5 @@ def dom_tree(sig: SignatureSpec, t: Term, depth: int) -> WordTree:
 
 
 def cb_rank(pc: PointedCoalgebra) -> int:
-    """Derivative rank of the behaviour tree of a thin rigid coalgebra."""
-    assert_polynomial(pc.coalg.sig)
-    return _run_space(pc)[0]
+    """Derivative rank of the run space of a thin coalgebra."""
+    return _ranks(pc)[0][pc.root]

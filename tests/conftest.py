@@ -3,12 +3,13 @@
 ``sig_poly`` is the rigid arity-0/1/2 signature used for tree-shaped terms,
 ``sig_bag`` its unordered-pair variant, ``sig_server`` the mixed signature
 with a three-successor operation whose last two positions commute, and
-``sig_mixed`` one operation per kind of symmetry up to arity 4, and
-``sig_rotations`` two groups that are no product of symmetric groups.  The
-builders below the fixtures (``build``, ``relabel``, ``blow_up``,
-``ladder_tree``) and the references ``_reference_beh_equal``,
-``_reference_census`` and ``_reference_cb_rank`` are shared by several test
-modules.
+``sig_mixed`` one operation per kind of symmetry up to arity 4,
+``sig_rotations`` two groups that are no product of symmetric groups, and
+``sig_c3`` a rotation of three positions beside a unary op.  The builders
+below the fixtures (``build``, ``relabel``, ``blow_up``, ``ladder_tree``),
+the references ``_reference_beh_equal``, ``_reference_census``,
+``_reference_cb_rank`` and ``_reference_rank_table``, and the derivative
+oracle ``_derivative_cb_rank`` are shared by several test modules.
 """
 
 import itertools
@@ -22,6 +23,8 @@ from thincoalg import (
     SignatureSpec,
 )
 from thincoalg.coalgebra import _refine, disjoint_union, reachable_states
+from thincoalg.normalform import StateRank, StateRankTable
+from thincoalg.terms import Rank
 from thincoalg.thinness import PathClassCount, _require_thin, _thin_components
 from thincoalg.treeenc import assert_polynomial
 
@@ -80,6 +83,13 @@ def sig_rotations():
             OperationSymbol("c3", 3, ((1, 2, 0),)),
             OperationSymbol("d6", 6, ((1, 2, 3, 4, 5, 0), (5, 4, 3, 2, 1, 0))),
         ]
+    )
+
+
+@pytest.fixture(scope="session")
+def sig_c3():
+    return SignatureSpec(
+        [OperationSymbol("z", 0), OperationSymbol("u", 1), OperationSymbol("c3", 3, ((1, 2, 0),))]
     )
 
 
@@ -284,3 +294,85 @@ def _reference_cb_rank(pc):
             (s,) = members
             value[s] = max((value[t] for t in c.transition[s].args), default=0)
     return value[pc.root]
+
+
+def _reference_rank_table(pc):
+    # Reference: the rank table as a dictionary of ``StateRank`` entries,
+    # folded on its own over the thinness check's components.
+    comps, comp, looped = _require_thin(pc)
+    trans = pc.coalg.transition
+
+    entries: dict[int, StateRank] = {}
+    for ci, members in enumerate(comps):
+        if looped[ci]:
+            outside = 0
+            for s in members:
+                for t in trans[s].args:
+                    if comp[t] != ci:
+                        outside = max(outside, entries[t].rank.major)
+            r = Rank(outside + 1, 0)
+            for s in members:
+                u = next(u for u, t in enumerate(trans[s].args) if comp[t] == ci)
+                entries[s] = StateRank(r, "g", outside, u)
+            continue
+
+        (s,) = members
+        succ = [entries[t] for t in trans[s].args]
+        if not succ:
+            entries[s] = StateRank(Rank(0, 1), "f")
+            continue
+        majors = [e.rank.major for e in succ]
+        *_, second, top = [0, *sorted(majors)]
+        f_rank = Rank(top, 1 + max(e.rank.minor for e in succ))
+        g_val = spine = None
+        for u, e in enumerate(succ):
+            if e.g_value is not None:
+                score = max(e.g_value, second if majors[u] == top else top)
+                if g_val is None or score < g_val:
+                    g_val, spine = score, u
+        if g_val is not None and Rank(g_val + 1, 0) < f_rank:
+            entries[s] = StateRank(Rank(g_val + 1, 0), "g", g_val, spine)
+        else:
+            entries[s] = StateRank(f_rank, "f", g_val)
+    return StateRankTable(pc.root, entries)
+
+
+def _derivative_cb_rank(pc):
+    """The Cantor-Bendixson rank of the runs from the root of a thin
+    system, by derivatives on the graph itself.
+
+    A state has an infinite run when it reaches a cycle.  Each round deletes
+    the edges of every loop (a cycle with its mutually reachable states)
+    that has no exit to a state with an infinite run: those runs are the
+    isolated points of the run space.  The rank is the number of rounds
+    until the root has no infinite run.  Plain reachability sets, recomputed
+    every round; no fold and no component search.
+    """
+    c = pc.coalg
+    states = reachable_states(c, pc.root)
+    kept = {s: list(c.transition[s].args) for s in states}
+
+    def after(s):
+        # States reachable from s by a nonempty path over the kept edges.
+        seen, todo = set(), list(kept[s])
+        while todo:
+            t = todo.pop()
+            if t not in seen:
+                seen.add(t)
+                todo.extend(kept[t])
+        return seen
+
+    rounds = 0
+    while True:
+        reach = {s: after(s) for s in states}
+        cyclic = {s for s in states if s in reach[s]}
+        live = {s for s in states if reach[s] & cyclic}
+        if pc.root not in live:
+            return rounds
+        rounds += 1
+        for s in cyclic:
+            loop = {t for t in reach[s] if s in reach[t]}
+            exits = {t for x in loop for t in kept[x] if t not in loop}
+            if not exits & live:
+                for x in loop:
+                    kept[x] = [t for t in kept[x] if t not in loop]

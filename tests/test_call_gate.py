@@ -3,14 +3,14 @@
 Every reachable component analysis of the package is the one that
 ``thinness._analyse`` keeps on a pointed coalgebra, so ``_scc_csr`` is
 called there and in ``coalgebra.reachable_condensation``, the public view
-of the same search, and nowhere else.  Every fold over that analysis passes
-the ``_require_thin`` guard in one of three places: ``is_thin``, the
-run-space fold ``thinness._run_space`` (which answers both the census and
-``cb_rank``) and the rank table ``normalform._rank_table``.  A new caller
-means a second search or a second fold; this gate names it.  Standard
-library only (``ast``).  A call is matched by the name it is made through,
-bare or as an attribute, and is charged to the innermost enclosing function
-(``<module>`` at the top level).
+of the same search, and nowhere else.  The ``_require_thin`` guard is
+passed in two places: ``is_thin`` and the one fold over that analysis,
+``thinness._rank_fold``, whose kept lists answer the census, ``cb_rank``,
+``state_ranks`` and ``extract_normal``.  A new caller means a second search
+or a second fold; this gate names it.  Standard library only (``ast``).  A
+call is matched by the name it is made through, bare or as an attribute, and
+is charged to the innermost enclosing function (``<module>`` at the top
+level).
 """
 
 import ast
@@ -20,7 +20,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "thincoalg"
 
 ALLOWED = {
     "_scc_csr": {"thinness._analyse", "coalgebra.reachable_condensation"},
-    "_require_thin": {"thinness.is_thin", "thinness._run_space", "normalform._rank_table"},
+    "_require_thin": {"thinness.is_thin", "thinness._rank_fold"},
 }
 
 

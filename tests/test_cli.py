@@ -52,7 +52,7 @@ def _report_of(proc):
 
 
 @pytest.fixture(scope="module")
-def files(tmp_path_factory, sig_poly, sig_bag, sig_server, u_loop, bag_ss):
+def files(tmp_path_factory, sig_poly, sig_bag, sig_server, u_loop, bag_ss, server_pc):
     d = tmp_path_factory.mktemp("clifiles")
     Fc = FNode(sig_poly.canonical_tuple("c", ()))
     uomega = GNode(LassoStream((), (sig_poly.canonical_context("u", 0, ()),)))
@@ -64,6 +64,7 @@ def files(tmp_path_factory, sig_poly, sig_bag, sig_server, u_loop, bag_ss):
         "uloop": d / "uloop.coalg.json",
         "noroot": d / "noroot.coalg.json",
         "bagss": d / "bagss.coalg.json",
+        "server": d / "server.coalg.json",
         "fullbin": d / "fullbin.coalg.json",
         "rootdep": d / "rootdep.coalg.json",
         "uomega": d / "uomega.term.json",
@@ -79,6 +80,7 @@ def files(tmp_path_factory, sig_poly, sig_bag, sig_server, u_loop, bag_ss):
     dump_json(paths["uloop"], dump_coalgebra(u_loop.coalg, root=0))
     dump_json(paths["noroot"], dump_coalgebra(u_loop.coalg))
     dump_json(paths["bagss"], dump_coalgebra(bag_ss.coalg, root=0))
+    dump_json(paths["server"], dump_coalgebra(server_pc.coalg, root=0))
     fullbin = build(sig_poly, [("b", (0, 0))])
     dump_json(paths["fullbin"], dump_coalgebra(fullbin.coalg, root=0))
     rootdep = build(sig_poly, [("u", (0,)), ("b", (1, 1))])
@@ -338,8 +340,15 @@ def test_cb_rank_exit_codes(files):
     assert "not thin" in proc.stderr
     witness = json.loads(proc.stderr.splitlines()[-1])
     assert witness["cycle1"]["states"] == [0, 0]
-    # a symmetric signature is malformed input for this command
-    assert run("cb-rank", str(files["bag_sig"]), str(files["bagss"])).returncode == 2
+    # symmetric signatures get an answer too
+    proc = run("cb-rank", str(files["server_sig"]), str(files["server"]))
+    assert proc.returncode == 0 and proc.stdout.strip() == "2"
+    # and non-thin input over one is a negative verdict likewise
+    proc = run("cb-rank", str(files["bag_sig"]), str(files["bagss"]))
+    assert proc.returncode == 1
+    assert "not thin" in proc.stderr
+    witness = json.loads(proc.stderr.splitlines()[-1])
+    assert witness["cycle1"]["states"] == [0, 0]
 
 
 # -- gen and bench --------------------------------------------------------

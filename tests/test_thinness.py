@@ -6,8 +6,10 @@ from array import array
 import pytest
 
 from conftest import (
+    _derivative_cb_rank,
     _reference_cb_rank,
     _reference_census,
+    _reference_rank_table,
     all_coalgebras,
     build,
     ladder_tree,
@@ -16,7 +18,6 @@ from thincoalg import (
     NonThinError,
     OperationSymbol,
     PointedCoalgebra,
-    SignatureError,
     SignatureSpec,
     coalgebra,
     thinness,
@@ -234,7 +235,7 @@ def test_census_matches_first_principles(sig_bag, sig_poly, sig_server):
     assert kinds == {"zero", "finite", "countably-infinite", "uncountable"}
 
 
-# -- one fold for the census and the rank ---------------------------------
+# -- one fold for the census, the ranks and the normal forms --------------
 
 
 def _answer(fn, pc):
@@ -243,41 +244,67 @@ def _answer(fn, pc):
         return fn(pc)
     except NonThinError as exc:
         return NonThinError, exc.verdict
-    except SignatureError as exc:
-        return SignatureError, str(exc)
 
 
-def _assert_matches_references(pc):
+def _entries(table_of):
+    # The entries of a rank table in their order.
+    return lambda pc: list(table_of(pc).entries.items())
+
+
+def _assert_matches_references(pc, derivative=False):
+    """The census, ``cb_rank`` and ``state_ranks`` against the references:
+    ``cb_rank`` against the old fold on rigid signatures and, when
+    ``derivative`` is set, against the derivative oracle on thin input."""
     assert count_infinite_paths_class(pc) == _reference_census(pc)
-    assert _answer(cb_rank, pc) == _answer(_reference_cb_rank, pc)
+    assert _answer(_entries(state_ranks), pc) == _answer(_entries(_reference_rank_table), pc)
+    verdict = is_thin(pc)
+    if pc.coalg.sig.is_polynomial:
+        assert _answer(cb_rank, pc) == _answer(_reference_cb_rank, pc)
+    elif not verdict.thin:
+        assert _answer(cb_rank, pc) == (NonThinError, verdict)
+    if derivative and verdict.thin:
+        assert cb_rank(pc) == _derivative_cb_rank(pc)
+    if verdict.thin:
+        # Runs are kept only up to rank 1: no count grows where there are
+        # countably many.
+        major, *_, runs = thinness._ranks(pc)
+        assert not any(r for m, r in zip(major, runs) if m > 1)
 
 
-@pytest.mark.parametrize("name", ["sig_poly", "sig_bag", "sig_server"])
+@pytest.mark.parametrize("name", ["sig_poly", "sig_bag", "sig_server", "sig_c3"])
 def test_census_and_rank_match_the_references_exhaustively(name, request):
     sig = request.getfixturevalue(name)
     kinds = set()
+    ranks = set()
     for n in range(1, 4):
         for c in all_coalgebras(sig, n):
             for root in range(n):
                 pc = PointedCoalgebra(c, root)
-                _assert_matches_references(pc)
+                _assert_matches_references(pc, derivative=True)
                 kinds.add(count_infinite_paths_class(pc).kind)
+                if is_thin(pc).thin:
+                    ranks.add(cb_rank(pc))
     assert kinds == {"zero", "finite", "countably-infinite", "uncountable"}
+    assert ranks == {0, 1, 2, 3}
 
 
-def test_census_and_rank_match_the_references_on_random_sets(sig_bag, sig_poly, sig_server):
+def test_census_and_rank_match_the_references_on_random_sets(
+    sig_bag, sig_poly, sig_server, sig_c3
+):
     # The sets drawn by the quotient and rerooting tests, at every state,
-    # and larger rigid systems.
+    # and larger rigid and C_3 systems.
     for seed, count in ((909, 40), (910, 60)):
         rng = random.Random(seed)
         for sig in (sig_bag, sig_server):
             for _ in range(count):
                 pc = _rand_pc(rng, sig, rng.randrange(1, 7))
                 for s in reachable_states(pc.coalg, pc.root):
-                    _assert_matches_references(PointedCoalgebra(pc.coalg, s))
-    rng = random.Random(911)
-    for _ in range(300):
-        _assert_matches_references(_rand_pc(rng, sig_poly, rng.randrange(1, 12)))
+                    _assert_matches_references(PointedCoalgebra(pc.coalg, s), derivative=True)
+    for seed, sig in ((911, sig_poly), (912, sig_c3)):
+        rng = random.Random(seed)
+        for _ in range(300):
+            pc = _rand_pc(rng, sig, rng.randrange(1, 12))
+            _assert_matches_references(pc, derivative=True)
 
 
 def test_census_and_rank_match_the_references_on_ladder_trees(sig_poly):
@@ -321,7 +348,7 @@ def test_census_of_non_thin_systems_builds_no_witness_and_runs_no_fold(
     monkeypatch, sig_bag, sig_poly
 ):
     monkeypatch.setattr(thinness, "_witness", _refuse)
-    monkeypatch.setattr(thinness, "_run_space", _refuse)
+    monkeypatch.setattr(thinness, "_rank_fold", _refuse)
     seen = 0
     for sig in (sig_bag, sig_poly):
         for n in range(1, 3):
@@ -337,13 +364,15 @@ def test_census_of_non_thin_systems_builds_no_witness_and_runs_no_fold(
     assert seen > 0
 
 
-def test_rank_rejects_symmetric_signatures_before_any_thinness_work(
-    monkeypatch, bag_ss, server_pc
-):
-    monkeypatch.setattr(thinness, "_analyse", _refuse)
-    for pc in (bag_ss, server_pc):
-        with pytest.raises(SignatureError):
-            cb_rank(PointedCoalgebra(pc.coalg, pc.root))
+def test_rank_answers_on_symmetric_signatures(bag_ss, bag_tree, server_pc, sig_c3):
+    # The respawn loop exits into the worker's step loop.
+    assert cb_rank(server_pc) == 2
+    spin = build(sig_c3, [("c3", (0, 1, 2)), ("u", (1,)), ("z", ())])
+    assert cb_rank(spin) == 2
+    for pc in (bag_ss, bag_tree):
+        with pytest.raises(NonThinError) as exc:
+            cb_rank(pc)
+        assert exc.value.verdict == is_thin(pc)
 
 # -- the shared condensation analysis -------------------------------------
 
@@ -351,9 +380,7 @@ def test_rank_rejects_symmetric_signatures_before_any_thinness_work(
 @pytest.mark.parametrize("name", ["sig_poly", "sig_bag", "sig_server"])
 def test_consumers_raise_the_verdict_of_is_thin(name, request):
     sig = request.getfixturevalue(name)
-    consumers = [state_ranks, extract_normal]
-    if name == "sig_poly":
-        consumers.append(cb_rank)
+    consumers = [state_ranks, cb_rank, extract_normal]
     seen = 0
     for n in range(1, 4):
         for c in all_coalgebras(sig, n):
@@ -372,13 +399,19 @@ def test_consumers_raise_the_verdict_of_is_thin(name, request):
 
 def test_each_consumer_searches_components_once(monkeypatch, sig_poly):
     calls = []
+    folds = []
     refines = []
     search = coalgebra._scc_csr
+    fold = thinness._rank_fold
     refine = coalgebra._refine
 
     def counting(*args):
         calls.append(1)
         return search(*args)
+
+    def counting_fold(pc):
+        folds.append(pc)
+        return fold(pc)
 
     def counting_refine(c, states):
         refines.append(c)
@@ -386,6 +419,7 @@ def test_each_consumer_searches_components_once(monkeypatch, sig_poly):
 
     monkeypatch.setattr(coalgebra, "_scc_csr", counting)
     monkeypatch.setattr(thinness, "_scc_csr", counting)
+    monkeypatch.setattr(thinness, "_rank_fold", counting_fold)
     monkeypatch.setattr(coalgebra, "_refine", counting_refine)
     # A branch into a u-loop that exits to a leaf, beside a leaf.
     pc = build(
@@ -393,23 +427,27 @@ def test_each_consumer_searches_components_once(monkeypatch, sig_poly):
         [("b", (1, 3)), ("u", (2,)), ("b", (1, 3)), ("c", ())],
     )
     consumers = (is_thin, count_infinite_paths_class, state_ranks, cb_rank, extract_normal)
-    # The five consumers share one search of an object, whichever runs first.
+    # The five consumers share one search of an object, and the four past
+    # is_thin one rank fold, whichever runs first.
     for first in range(len(consumers)):
         calls.clear()
+        folds.clear()
         fresh = PointedCoalgebra(pc.coalg, pc.root)
         for consumer in consumers[first:] + consumers[:first]:
             consumer(fresh)
         assert len(calls) == 1, consumers[first].__name__
+        assert len(folds) == 1 and folds[0] is fresh, consumers[first].__name__
     calls.clear()
+    folds.clear()
     for _ in range(2):
         for consumer in consumers:
             consumer(pc)
-    assert len(calls) == 1
-    # An equal but distinct object runs its own search.
+    assert len(calls) == 1 and len(folds) == 1 and folds[0] is pc
+    # An equal but distinct object runs its own search and its own fold.
     fresh = PointedCoalgebra(pc.coalg, pc.root)
     for consumer in consumers:
         consumer(fresh)
-    assert len(calls) == 2
+    assert len(calls) == 2 and len(folds) == 2 and folds[1] is fresh
     # Normal forms come from the input's own table: nothing refines it.
     normalize(sig_poly, GNode(LassoStream((), (sig_poly.canonical_context("u", 0, ()),))))
     assert refines == []

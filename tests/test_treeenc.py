@@ -57,12 +57,10 @@ def test_encoding_of_small_terms(sig_poly, atoms):
     )
 
 
-def test_encoding_rejects_group_signatures(sig_bag, bag_ss):
+def test_encoding_rejects_group_signatures(sig_bag):
     z = FNode(sig_bag.canonical_tuple("b0", ()))
     with pytest.raises(SignatureError):
         enc(sig_bag, z, 2)
-    with pytest.raises(SignatureError):
-        cb_rank(bag_ss)
 
 
 def test_truncation_is_consistent(sig_poly, atoms):
