@@ -19,15 +19,12 @@ Commands:
 Exit codes: 0 success or positive verdict, 1 negative verdict (non-thin,
 not equal, expectation missed), 2 malformed input, usage error, or input
 too deep or too large to process.
-
-Set THINCOALG_ARITY_CAP to raise or lower the arity cap (default 8).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -47,36 +44,23 @@ from .files import (
 from .generate import gen_coalgebra, gen_term
 from .normalform import brute_force_normal, normalize
 from .semantics import beh_equal_terms, unfold
-from .signature import DEFAULT_ARITY_CAP
-from .terms import rank, term_size
+from .signature import SignatureSpec
+from .terms import Term, rank, term_size
 from .thinness import is_thin, oracle_is_thin
 from .treeenc import cb_rank, enc
 
 ORACLE_STATE_LIMIT = 12
 
 
-def _arity_cap() -> int:
-    raw = os.environ.get("THINCOALG_ARITY_CAP")
-    if raw is None:
-        return DEFAULT_ARITY_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise SignatureError(f"THINCOALG_ARITY_CAP must be an integer, got {raw!r}")
-    if cap < 0:
-        raise SignatureError("THINCOALG_ARITY_CAP must be nonnegative")
-    return cap
-
-
 def _input_entry(path: str) -> dict:
     return {"path": str(path), "sha256": file_digest(path)}
 
 
-def _finish(args, command: str, inputs: dict, result: dict, human: list[str], started: float) -> None:
-    timing = (time.perf_counter() - started) * 1000.0
+def _finish(args, inputs: dict, result: dict, human: list[str]) -> None:
+    timing = (time.perf_counter() - args.started) * 1000.0
     if args.json:
         report = {
-            "command": command,
+            "command": args.command,
             "inputs": inputs,
             "result": result,
             "timing_ms": timing,
@@ -87,9 +71,9 @@ def _finish(args, command: str, inputs: dict, result: dict, human: list[str], st
             print(line)
 
 
-def _load_pointed(args, cap: int) -> tuple[PointedCoalgebra, dict]:
-    sig = load_signature(args.signature, cap)
-    coalg, file_root = load_coalgebra(args.coalgebra, sig=sig, arity_cap=cap)
+def _load_pointed(args) -> tuple[PointedCoalgebra, dict]:
+    sig = load_signature(args.signature)
+    coalg, file_root = load_coalgebra(args.coalgebra, sig=sig)
     root = args.root if args.root is not None else (file_root if file_root is not None else 0)
     inputs = {
         "signature": _input_entry(args.signature),
@@ -98,39 +82,38 @@ def _load_pointed(args, cap: int) -> tuple[PointedCoalgebra, dict]:
     return PointedCoalgebra(coalg, root), inputs
 
 
-def _term_inputs(args) -> dict:
-    return {"signature": _input_entry(args.sig), "term": _input_entry(args.term)}
+def _load_sig_term(args) -> tuple[SignatureSpec, Term, dict]:
+    sig = load_signature(args.sig)
+    t = load_term(args.term, sig)
+    return sig, t, {"signature": _input_entry(args.sig), "term": _input_entry(args.term)}
 
 
 # -- command handlers -----------------------------------------------------
 
 
 def cmd_validate(args) -> int:
-    started = time.perf_counter()
-    cap = _arity_cap()
     inputs = {"file": _input_entry(args.file)}
     if args.kind == "signature":
-        load_signature(args.file, cap)
+        load_signature(args.file)
     elif args.kind == "coalgebra":
-        sig = load_signature(args.sig, cap) if args.sig else None
+        sig = load_signature(args.sig) if args.sig else None
         if args.sig:
             inputs["signature"] = _input_entry(args.sig)
-        coalg, root = load_coalgebra(args.file, sig=sig, arity_cap=cap)
+        coalg, root = load_coalgebra(args.file, sig=sig)
         if root is not None:
             PointedCoalgebra(coalg, root)
     else:
         if not args.sig:
             raise TermError("term validation needs --sig")
         inputs["signature"] = _input_entry(args.sig)
-        load_term(args.file, load_signature(args.sig, cap))
-    _finish(args, "validate", inputs, {"valid": True, "kind": args.kind},
-            [f"{args.file}: valid {args.kind}"], started)
+        load_term(args.file, load_signature(args.sig))
+    _finish(args, inputs, {"valid": True, "kind": args.kind},
+            [f"{args.file}: valid {args.kind}"])
     return 0
 
 
 def cmd_check_thin(args) -> int:
-    started = time.perf_counter()
-    pc, inputs = _load_pointed(args, _arity_cap())
+    pc, inputs = _load_pointed(args)
     verdict = is_thin(pc)
     result: dict = {"thin": verdict.thin, "root": pc.root}
     human = [f"thin: {'yes' if verdict.thin else 'no'}"]
@@ -150,44 +133,35 @@ def cmd_check_thin(args) -> int:
         result["oracle_agrees"] = agrees
         human.append(f"oracle agrees: {'yes' if agrees else 'NO'}")
         if not agrees:
-            _finish(args, "check-thin", inputs, result, human, started)
+            _finish(args, inputs, result, human)
             print("error: oracle disagrees with linear check", file=sys.stderr)
             return 2
-    _finish(args, "check-thin", inputs, result, human, started)
+    _finish(args, inputs, result, human)
     if args.expect is not None:
         return 0 if (args.expect == "thin") == verdict.thin else 1
     return 0 if verdict.thin else 1
 
 
 def cmd_paths(args) -> int:
-    started = time.perf_counter()
-    pc, inputs = _load_pointed(args, _arity_cap())
+    pc, inputs = _load_pointed(args)
     found = paths_to_depth(pc, args.depth)
     result = {"depth": args.depth, "count": len(found),
               "paths": [dump_path(p) for p in found]}
     human = [f"{len(found)} paths at depth {args.depth}"]
     human.extend(" ".join(map(str, p.flat_key())) for p in found)
-    _finish(args, "paths", inputs, result, human, started)
+    _finish(args, inputs, result, human)
     return 0
 
 
 def cmd_rank(args) -> int:
-    started = time.perf_counter()
-    cap = _arity_cap()
-    sig = load_signature(args.sig, cap)
-    t = load_term(args.term, sig)
+    _, t, inputs = _load_sig_term(args)
     r = rank(t)
-    _finish(args, "rank", _term_inputs(args),
-            {"major": r.major, "minor": r.minor},
-            [f"({r.major},{r.minor})"], started)
+    _finish(args, inputs, {"major": r.major, "minor": r.minor}, [f"({r.major},{r.minor})"])
     return 0
 
 
 def cmd_normalize(args) -> int:
-    started = time.perf_counter()
-    cap = _arity_cap()
-    sig = load_signature(args.sig, cap)
-    t = load_term(args.term, sig)
+    sig, t, inputs = _load_sig_term(args)
     nf = normalize(sig, t)
     doc = dump_term(nf)
     r = rank(nf)
@@ -200,19 +174,17 @@ def cmd_normalize(args) -> int:
         human.append(f"oracle agrees: {'yes' if agrees else 'NO'}")
         if not agrees:
             print("error: oracle disagrees with normalize", file=sys.stderr)
-            _finish(args, "normalize", _term_inputs(args), result, human, started)
+            _finish(args, inputs, result, human)
             return 2
     if args.out:
         dump_json(args.out, doc)
         human.append(f"wrote {args.out}")
-    _finish(args, "normalize", _term_inputs(args), result, human, started)
+    _finish(args, inputs, result, human)
     return 0
 
 
 def cmd_eq(args) -> int:
-    started = time.perf_counter()
-    cap = _arity_cap()
-    sig = load_signature(args.sig, cap)
+    sig = load_signature(args.sig)
     a = load_term(args.term_a, sig)
     b = load_term(args.term_b, sig)
     equal = beh_equal_terms(sig, a, b)
@@ -221,16 +193,12 @@ def cmd_eq(args) -> int:
         "term_a": _input_entry(args.term_a),
         "term_b": _input_entry(args.term_b),
     }
-    _finish(args, "eq", inputs, {"equal": equal},
-            ["equal" if equal else "not equal"], started)
+    _finish(args, inputs, {"equal": equal}, ["equal" if equal else "not equal"])
     return 0 if equal else 1
 
 
 def cmd_unfold(args) -> int:
-    started = time.perf_counter()
-    cap = _arity_cap()
-    sig = load_signature(args.sig, cap)
-    t = load_term(args.term, sig)
+    sig, t, inputs = _load_sig_term(args)
     pc = unfold(sig, t).pc
     doc = dump_coalgebra(pc.coalg, root=pc.root)
     result = {"states": pc.coalg.n_states, "root": pc.root}
@@ -241,35 +209,29 @@ def cmd_unfold(args) -> int:
     else:
         result["coalgebra"] = doc
         human.insert(0, json.dumps(doc, sort_keys=True))
-    _finish(args, "unfold", _term_inputs(args), result, human, started)
+    _finish(args, inputs, result, human)
     return 0
 
 
 def cmd_encode(args) -> int:
-    started = time.perf_counter()
-    cap = _arity_cap()
-    sig = load_signature(args.sig, cap)
-    t = load_term(args.term, sig)
+    sig, t, inputs = _load_sig_term(args)
     tree = enc(sig, t, args.depth)
     words = sorted(tree.words, key=lambda w: (len(w), w))
     result = {"depth": args.depth, "words": [list(w) for w in words]}
     human = ["".join(map(str, w)) if w else "ε" for w in words]
-    _finish(args, "encode", _term_inputs(args), result, human, started)
+    _finish(args, inputs, result, human)
     return 0
 
 
 def cmd_cb_rank(args) -> int:
-    started = time.perf_counter()
-    pc, inputs = _load_pointed(args, _arity_cap())
+    pc, inputs = _load_pointed(args)
     value = cb_rank(pc)
-    _finish(args, "cb-rank", inputs, {"cb_rank": value}, [str(value)], started)
+    _finish(args, inputs, {"cb_rank": value}, [str(value)])
     return 0
 
 
 def cmd_gen(args) -> int:
-    started = time.perf_counter()
-    cap = _arity_cap()
-    sig = load_signature(args.sig, cap)
+    sig = load_signature(args.sig)
     if args.kind == "coalgebra":
         pc = gen_coalgebra(sig, args.size, args.seed, weights=args.weights, root=args.root)
         doc = dump_coalgebra(pc.coalg, root=pc.root)
@@ -277,15 +239,13 @@ def cmd_gen(args) -> int:
         doc = dump_term(gen_term(sig, args.size, args.seed))
     dump_json(args.out, doc)
     result = {"path": str(args.out), "sha256": file_digest(args.out)}
-    _finish(args, "gen", {"signature": _input_entry(args.sig)}, result,
-            [f"wrote {args.out} ({result['sha256'][:12]})"], started)
+    _finish(args, {"signature": _input_entry(args.sig)}, result,
+            [f"wrote {args.out} ({result['sha256'][:12]})"])
     return 0
 
 
 def cmd_bench(args) -> int:
-    started = time.perf_counter()
-    cap = _arity_cap()
-    sig = load_signature(args.sig, cap)
+    sig = load_signature(args.sig)
     runs = []
     human = []
     for i, n in enumerate(args.sizes):
@@ -309,7 +269,7 @@ def cmd_bench(args) -> int:
     if len(runs) >= 2 and runs[0]["check_ms"] > 0:
         result["check_ratio"] = runs[-1]["check_ms"] / runs[0]["check_ms"]
         human.append(f"check ratio last/first: {result['check_ratio']:.2f}")
-    _finish(args, "bench", {"signature": _input_entry(args.sig)}, result, human, started)
+    _finish(args, {"signature": _input_entry(args.sig)}, result, human)
     return 0
 
 
@@ -445,6 +405,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # Every report's timing_ms counts from here; ``_finish`` reads it.
+    args.started = time.perf_counter()
     try:
         return args.func(args)
     except (SignatureError, CoalgebraError, TermError) as exc:

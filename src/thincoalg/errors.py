@@ -9,7 +9,8 @@ from __future__ import annotations
 
 
 class SignatureError(ValueError):
-    """Malformed signature: bad permutation, unknown op, arity cap, ..."""
+    """Malformed signature: bad permutation, unknown op, a group too large
+    to enumerate, ..."""
 
 
 class CoalgebraError(ValueError):

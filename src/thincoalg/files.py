@@ -18,7 +18,7 @@ from typing import Any
 
 from .coalgebra import Coalgebra, FinitePath
 from .errors import CoalgebraError, SignatureError, TermError
-from .signature import DEFAULT_ARITY_CAP, OperationSymbol, SignatureSpec
+from .signature import OperationSymbol, SignatureSpec
 from .terms import FNode, GNode, LassoStream, Term
 from .thinness import ThinWitness
 
@@ -57,7 +57,7 @@ def _is_int_list(xs: Any) -> bool:
 # -- signatures -----------------------------------------------------------
 
 
-def load_signature(src: Any, arity_cap: int = DEFAULT_ARITY_CAP) -> SignatureSpec:
+def load_signature(src: Any) -> SignatureSpec:
     data = _load(src)
     if not isinstance(data, dict) or "ops" not in data:
         raise SignatureError("signature document must be an object with 'ops'")
@@ -82,7 +82,7 @@ def load_signature(src: Any, arity_cap: int = DEFAULT_ARITY_CAP) -> SignatureSpe
         ops.append(
             OperationSymbol(entry["id"], entry["arity"], tuple(tuple(g) for g in gens))
         )
-    return SignatureSpec(ops, arity_cap=arity_cap)
+    return SignatureSpec(ops)
 
 
 def dump_signature(sig: SignatureSpec) -> dict:
@@ -98,9 +98,7 @@ def dump_signature(sig: SignatureSpec) -> dict:
 
 
 def load_coalgebra(
-    src: Any,
-    sig: SignatureSpec | None = None,
-    arity_cap: int = DEFAULT_ARITY_CAP,
+    src: Any, sig: SignatureSpec | None = None
 ) -> tuple[Coalgebra, int | None]:
     """Load a coalgebra and its optional root.
 
@@ -115,10 +113,7 @@ def load_coalgebra(
         ref = data.get("signature")
         if ref is None:
             raise CoalgebraError("no signature: pass one or embed 'signature'")
-        if isinstance(ref, str):
-            sig = load_signature(base_dir / ref, arity_cap)
-        else:
-            sig = load_signature(ref, arity_cap)
+        sig = load_signature(base_dir / ref if isinstance(ref, str) else ref)
     n = data.get("states")
     if not _is_int(n) or n < 0:
         raise CoalgebraError("'states' must be a nonnegative integer")

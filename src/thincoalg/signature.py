@@ -21,11 +21,11 @@ inside each orbit are sorted, by a gather and scatter planned once per op;
 any other group (a rotation of three or more positions, a dihedral group,
 ...) takes the least image under its elements.
 Which of the two applies is read off the group's order, which a stabilizer
-chain gives without listing the group, so a bag of any arity is built
-without enumerating its group.  Any other group is still enumerated when the
-signature is built, which is exponential in the arity, so arities stay
-capped (default 8, see ``DEFAULT_ARITY_CAP``).  Argument values must be
-totally ordered (ints, strings, terms, nested elements).
+chain gives without listing the group, so rigid ops and bags of any arity
+are built without enumerating their groups.  Any other group is enumerated
+when the signature is built, so its order is bounded by 8! (every group on
+at most 8 positions passes; see ``_ENUMERATION_BOUND``).  Argument values
+must be totally ordered (ints, strings, terms, nested elements).
 
 Elements and contexts are named tuples ``(op, args)`` and ``(op, hole,
 sides)``, so they hash, compare, order and pickle as the tuples they are.
@@ -42,7 +42,10 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import SignatureError
 
-DEFAULT_ARITY_CAP = 8
+# The largest order of a group that is listed when its signature is built:
+# one that is no product of symmetric groups.  8! admits every group on at
+# most 8 positions.
+_ENUMERATION_BOUND = factorial(8)
 
 Perm = tuple[int, ...]
 
@@ -91,9 +94,10 @@ def apply_perm(sigma: Perm, values: Sequence) -> tuple:
 class PermGroup:
     """A permutation group on ``range(arity)``: its generators and its order.
 
-    ``len`` and ``is_trivial`` read the order, so neither enumerates.  The
-    elements are listed on first use and kept, sorted so iteration order is
-    deterministic: straight from the orbits when the group is the full
+    ``len`` and ``is_trivial`` read the order, so neither enumerates; ``len``
+    cannot pass ``sys.maxsize`` (21! does), so the package reads ``order``.
+    The elements are listed on first use and kept, sorted so iteration order
+    is deterministic: straight from the orbits when the group is the full
     symmetric group on each of them (``symmetric_elements``), else by
     closing the generators (``enumerate_group``).  Groups compare by
     identity; ``SignatureSpec`` equality compares the groups themselves.
@@ -168,6 +172,8 @@ def stabilizer_chain(
     empty each level's stabilizer is generated by the next level, so the
     order is the product of the transversal sizes.
     """
+    if not generators:
+        return [], [], 1
     ident = identity_perm(arity)
     base: list[int] = []
     strong: list[list[Perm]] = []
@@ -258,10 +264,12 @@ def sortable_orbits(
     The group lies inside the product of the symmetric groups on its orbits,
     so it is that product exactly when its order is the product of the orbit
     factorials.  Returns ``None`` for any other group.  A trivial group has
-    only singleton orbits and gets the empty tuple.
+    only singleton orbits and gets the empty tuple, without listing them.
     """
+    if group.order == 1:
+        return ()
     orbits = position_orbits(generators, group.arity)
-    if len(group) != prod(factorial(len(o)) for o in orbits):
+    if group.order != prod(factorial(len(o)) for o in orbits):
         return None
     return tuple(o for o in orbits if len(o) > 1)
 
@@ -393,7 +401,9 @@ class SignatureSpec:
     that one routine.
 
     Raises ``SignatureError`` on duplicate ids, arities that are not
-    nonnegative ints, bad permutations, or arities above ``arity_cap``.
+    nonnegative ints, bad permutations, or a group to be enumerated whose
+    order is above ``_ENUMERATION_BOUND``; that order is checked before any
+    element is listed.
     Two specs are equal when they have the same ops with the same arities
     and the same groups, regardless of which generators were listed: a
     group symmetric on each orbit is determined by its orbits, any other
@@ -401,9 +411,8 @@ class SignatureSpec:
     built once, with the signature.
     """
 
-    def __init__(self, ops: Iterable[OperationSymbol], arity_cap: int = DEFAULT_ARITY_CAP):
+    def __init__(self, ops: Iterable[OperationSymbol]):
         self.ops: tuple[OperationSymbol, ...] = tuple(ops)
-        self.arity_cap = arity_cap
         self._by_id: dict[str, OperationSymbol] = {}
         self._groups: dict[str, PermGroup] = {}
         # (arity, sort plan or None, group getters or None) per op id.
@@ -418,10 +427,6 @@ class SignatureSpec:
                 raise SignatureError(f"arity of {op.id!r} must be an integer, got {op.arity!r}")
             if op.arity < 0:
                 raise SignatureError(f"negative arity for {op.id!r}")
-            if op.arity > arity_cap:
-                raise SignatureError(
-                    f"arity {op.arity} of {op.id!r} exceeds cap {arity_cap}"
-                )
             self._by_id[op.id] = op
             gens = tuple(check_perm(g, op.arity) for g in op.generators)
             group = PermGroup(op.arity, gens, stabilizer_chain(gens, op.arity)[2])
@@ -431,6 +436,11 @@ class SignatureSpec:
             if orbits is None:
                 # Such a group is no product of symmetric groups, so its
                 # arity is at least 3 and every getter returns a tuple.
+                if group.order > _ENUMERATION_BOUND:
+                    raise SignatureError(
+                        f"group of {op.id!r} would be enumerated, and its order "
+                        f"{group.order} is above {_ENUMERATION_BOUND}"
+                    )
                 getters = tuple(itemgetter(*invert_perm(g)) for g in group)
                 eq_key.append((op.id, op.arity, ("enum", group.elements)))
             else:
@@ -440,7 +450,7 @@ class SignatureSpec:
         self._eq_key = tuple(eq_key)
         # Equal groups have equal orders, so this hash agrees with ==
         # without hashing every element.
-        self._hash = hash(tuple((o.id, o.arity, len(self._groups[o.id])) for o in self.ops))
+        self._hash = hash(tuple((o.id, o.arity, self._groups[o.id].order) for o in self.ops))
 
     def __repr__(self) -> str:
         names = ", ".join(f"{o.id}/{o.arity}" for o in self.ops)

@@ -1,7 +1,6 @@
 """End-to-end command-line checks: exit codes, reports, and byte determinism."""
 
 import json
-import os
 import subprocess
 import sys
 from importlib import resources
@@ -23,14 +22,11 @@ from thincoalg.signature import SignatureSpec
 from thincoalg.terms import FNode, GNode, LassoStream, unfold_step
 
 
-def run(*argv, env=None, timeout=None):
-    e = dict(os.environ)
-    e.update(env or {})
+def run(*argv, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "thincoalg.cli", *argv],
         capture_output=True,
         text=True,
-        env=e,
         timeout=timeout,
     )
 
@@ -425,21 +421,35 @@ def test_usage_errors(files):
     assert run("validate", str(files["poly_sig"]), "--kind", "nope").returncode == 2
 
 
-def test_arity_cap_environment_override(files):
-    env = {"THINCOALG_ARITY_CAP": "2"}
-    proc = run(
-        "validate", str(files["server_sig"]), "--kind", "signature", env=env
-    )
+def _bag_signature(path, n):
+    """Write a signature of a nullary op, a unary op and a bag of ``n``."""
+    bag = [list(range(1, n)) + [0], [1, 0] + list(range(2, n))]
+    ops = [{"id": "z", "arity": 0}, {"id": "u", "arity": 1},
+           {"id": "b", "arity": n, "generators": bag}]
+    dump_json(path, {"ops": ops})
+    return path
+
+
+def test_large_bags_are_accepted_and_large_enumerations_refused(files):
+    d = files["dir"]
+    sig10 = _bag_signature(d / "bag10.sig.json", 10)
+    assert run("validate", str(sig10), "--kind", "signature").returncode == 0
+    coalg = d / "bag10.coalg.json"
+    assert run("gen", "coalgebra", "--sig", str(sig10), "--size", "12",
+               "--seed", "3", "-o", str(coalg)).returncode == 0
+    assert run("check-thin", str(sig10), str(coalg)).returncode in (0, 1)
+    # 21! exceeds sys.maxsize, which len() cannot return.
+    sig21 = _bag_signature(d / "bag21.sig.json", 21)
+    proc = run("validate", str(sig21), "--kind", "signature")
+    assert proc.returncode == 0, proc.stderr
+    tree = d / "bag21.coalg.json"
+    dump_json(tree, {"states": 2, "root": 0, "transitions": [
+        {"op": "b", "tuple": [1] * 21}, {"op": "z", "tuple": []}]})
+    proc = run("check-thin", str(sig21), str(tree))
+    assert (proc.returncode, proc.stdout) == (0, "thin: yes\n"), proc.stderr
+    a9 = d / "a9.sig.json"
+    gens = [[1, 2, 0, 3, 4, 5, 6, 7, 8], [1, 2, 3, 4, 5, 6, 7, 8, 0]]
+    dump_json(a9, {"ops": [{"id": "a", "arity": 9, "generators": gens}]})
+    proc = run("validate", str(a9), "--kind", "signature")
     assert proc.returncode == 2
-    assert "cap" in proc.stderr
-    assert (
-        run(
-            "validate", str(files["poly_sig"]), "--kind", "signature", env=env
-        ).returncode
-        == 0
-    )
-    proc = run(
-        "validate", str(files["poly_sig"]), "--kind", "signature",
-        env={"THINCOALG_ARITY_CAP": "x"},
-    )
-    assert proc.returncode == 2
+    assert "181440" in proc.stderr and "Traceback" not in proc.stderr

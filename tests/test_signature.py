@@ -4,6 +4,8 @@ import itertools
 import math
 import pickle
 import random
+import sys
+import time
 
 import pytest
 from conftest import build
@@ -133,16 +135,54 @@ def test_signature_rejects_duplicate_ids():
         SignatureSpec([OperationSymbol("a", 1), OperationSymbol("a", 2)])
 
 
-def test_signature_rejects_negative_arity_and_cap_overflow():
+def test_signature_rejects_negative_arity_and_cap_overflow(monkeypatch):
     with pytest.raises(SignatureError):
         SignatureSpec([OperationSymbol("a", -1)])
-    with pytest.raises(SignatureError):
-        SignatureSpec([OperationSymbol("a", 9)])
     for arity in (True, 2.0, "2"):
         with pytest.raises(SignatureError):
             SignatureSpec([OperationSymbol("a", arity)])
-    # an explicit cap loosens the bound
-    SignatureSpec([OperationSymbol("a", 9)], arity_cap=9)
+    # Arity alone bounds nothing: rigid ops and bags are never enumerated.
+    assert SignatureSpec([OperationSymbol("a", 9)]).is_polynomial
+    bag10 = SignatureSpec([OperationSymbol("b", 10, _full(10))])
+    assert len(bag10.group("b")) == math.factorial(10)
+
+    def refuse(*args):
+        raise AssertionError("a group was enumerated")
+
+    monkeypatch.setattr(signature, "enumerate_group", refuse)
+    monkeypatch.setattr(PermGroup, "elements", property(refuse))
+    # A_9: no product of symmetric groups, and too large to enumerate.
+    a9 = ((1, 2, 0) + tuple(range(3, 9)), tuple(range(1, 9)) + (0,))
+    with pytest.raises(SignatureError, match="181440"):
+        SignatureSpec([OperationSymbol("a", 9, a9)])
+    # Neither the chain nor the classification of a rigid op reads its arity.
+    started = time.perf_counter()
+    sig = SignatureSpec([OperationSymbol("a", 10**9)])
+    assert time.perf_counter() - started < 0.5
+    assert sig.is_polynomial and sig.arity("a") == 10**9
+
+
+def test_large_enumerated_groups_within_the_bound_build():
+    c12 = OperationSymbol("c", 12, (tuple(range(1, 12)) + (0,),))
+    d10 = OperationSymbol(
+        "d", 10, (tuple(range(1, 10)) + (0,), tuple(-k % 10 for k in range(10)))
+    )
+    sig = SignatureSpec([c12, d10])
+    assert len(sig.group("c")) == 12 and len(sig.group("d")) == 20
+    vals = (5, 3, 0, 7, 1, 0, 9, 2, 8, 4, 6, 0)
+    assert sig.canonical_tuple("c", vals).args == reference_tuple(sig.group("c"), vals)
+
+
+def test_a_bag_of_order_above_sys_maxsize_builds_and_sorts():
+    # 21! > 2**63, so nothing may take the group's order through len().
+    a, b, c = (
+        SignatureSpec([OperationSymbol("z", 0), OperationSymbol("b", 21, gens)])
+        for gens in (_full(21), _full(21), _full(21)[::-1])
+    )
+    assert a.group("b").order == math.factorial(21) > sys.maxsize
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    vals = tuple(range(20, -1, -1))
+    assert a.canonical_tuple("b", vals).args == tuple(range(21))
 
 
 def test_signature_rejects_bad_generator():
