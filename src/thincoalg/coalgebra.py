@@ -16,7 +16,9 @@ values are in the ``PointedCoalgebra`` docstring.
 
 from __future__ import annotations
 
+import gc
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -114,6 +116,29 @@ def _memo(pc: PointedCoalgebra, name: str, build):
         value = build(pc)
         object.__setattr__(pc, name, value)
         return value
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector for one bulk build or analysis.
+
+    A full collection walks every tracked object, and the file loaders,
+    ``dump_coalgebra`` and the thinness analysis and witness make hundreds of
+    thousands (``FElem`` tuples are never untracked).  Safe: they make only
+    acyclic containers, and cyclic garbage from other threads is collected
+    after the scope.  A collector disabled on entry is left alone, so nested
+    scopes leave the switch to the outermost one.  Caveat: the switch is
+    process-wide, so a scope re-enables a collector that another thread
+    disabled inside it.
+    """
+    if gc.isenabled():
+        gc.disable()
+        try:
+            yield
+        finally:
+            gc.enable()
+    else:
+        yield
 
 
 def _kept_quotient(pc: PointedCoalgebra) -> PointedCoalgebra:
@@ -222,19 +247,6 @@ def paths_to_depth(pc: PointedCoalgebra, depth: int) -> list[FinitePath]:
             indices.append(k)
             stack.append(iter(steps[t]))
     return out
-
-
-def path_count(pc: PointedCoalgebra, depth: int) -> int:
-    """Number of length-``depth`` paths from the root, by dynamic programming."""
-    c = pc.coalg
-    counts = {pc.root: 1}
-    for _ in range(depth):
-        nxt: dict[int, int] = {}
-        for s, m in counts.items():
-            for t in c.transition[s].args:
-                nxt[t] = nxt.get(t, 0) + m
-        counts = nxt
-    return sum(counts.values())
 
 
 def cycles_through(c: Coalgebra, state: int, maxlen: int) -> Iterator[FinitePath]:
@@ -360,15 +372,16 @@ def _refine(c: Coalgebra, states: Sequence[int]) -> dict[int, int]:
     """Partition ``states`` by behavioural equivalence.
 
     ``states`` must be closed under successors.  Worklist refinement in the
-    manner of Hopcroft and of Valmari & Lehtinen: starting from one block
-    with every state dirty, each round re-signs only the dirty states, groups
-    them by (block, key), and splits each touched block into one part per
-    key plus the untouched rest, if any.  The largest part keeps the block
-    id, every other part gets a fresh one, and the predecessors of the
-    states that got a fresh id are the next round's dirty states.  A key is
-    the state's op and the orbit minimum of its successors' block ids,
-    straight from ``signature._orbit_min``: the coalgebra's elements were
-    checked when it was built, so signing builds and checks no element.
+    manner of Hopcroft and of Valmari & Lehtinen: the first round splits by op,
+    the key of every state while all ids are 0, and signs none.  Each later
+    round re-signs only the dirty states, groups them by (block, key), and
+    splits each touched block into one part per key plus the untouched rest, if
+    any.  The largest part keeps the block id, every other part gets a fresh
+    one, and the predecessors of the states that got a fresh id are the next
+    round's dirty states.  A key is the state's op and the orbit minimum of its
+    successors' block ids, straight from ``signature._orbit_min``: the
+    coalgebra's elements were checked when it was built, so signing builds and
+    checks no element.
 
     Invariant: the untouched members of a block share one key, since none of
     their successors changed id since they were last signed together.  A
@@ -393,13 +406,10 @@ def _refine(c: Coalgebra, states: Sequence[int]) -> dict[int, int]:
             preds[t].append(s)
     members = [set(states)]
     mark = bytearray(c.n_states)
-    dirty = list(states)
-    while dirty:
-        touched: dict[int, dict] = {}
-        for s in dirty:
-            e = tr[s]
-            key = (e.op, _orbit_min(records[e.op], tuple(map(lookup, e.args))))
-            touched.setdefault(block[s], {}).setdefault(key, set()).add(s)
+    touched: dict[int, dict] = {}
+    for s in states:
+        touched.setdefault(0, {}).setdefault(tr[s].op, set()).add(s)
+    while touched:
         moved: list[int] = []
         for b, by_key in sorted(touched.items()):
             parts = [p for _, p in sorted(by_key.items())]
@@ -429,8 +439,12 @@ def _refine(c: Coalgebra, states: Sequence[int]) -> dict[int, int]:
                 if not mark[s]:
                     mark[s] = 1
                     dirty.append(s)
+        touched = {}
         for s in dirty:
             mark[s] = 0
+            e = tr[s]
+            key = (e.op, _orbit_min(records[e.op], tuple(map(lookup, e.args))))
+            touched.setdefault(block[s], {}).setdefault(key, set()).add(s)
     return {s: block[s] for s in states}
 
 

@@ -8,8 +8,9 @@ with a three-successor operation whose last two positions commute, and
 ``sig_c3`` a rotation of three positions beside a unary op.  The builders
 below the fixtures (``build``, ``relabel``, ``blow_up``, ``ladder_tree``),
 the references ``_reference_beh_equal``, ``_reference_census``,
-``_reference_cb_rank`` and ``_reference_rank_table``, and the derivative
-oracle ``_derivative_cb_rank`` are shared by several test modules.
+``_reference_cb_rank`` and ``_reference_rank_table``, the derivative
+oracle ``_derivative_cb_rank`` and the path counter ``path_count`` are
+shared by several test modules.
 """
 
 import itertools
@@ -218,6 +219,20 @@ def ladder_tree(n, rng):
     trans[pending[0]][1][pending[1]] = len(trans)
     trans.append(["c", []])
     return trans, loops
+
+
+def path_count(pc, depth):
+    """Number of length-``depth`` paths from the root, by dynamic
+    programming: an oracle for path enumeration and for minimization."""
+    c = pc.coalg
+    counts = {pc.root: 1}
+    for _ in range(depth):
+        nxt = {}
+        for s, m in counts.items():
+            for t in c.transition[s].args:
+                nxt[t] = nxt.get(t, 0) + m
+        counts = nxt
+    return sum(counts.values())
 
 
 def _reference_beh_equal(pc1, pc2):

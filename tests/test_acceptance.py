@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from conftest import all_coalgebras
+from conftest import all_coalgebras, path_count
 
 from thincoalg import (
     FNode,
@@ -32,7 +32,6 @@ from thincoalg import (
     minimize,
     normalize,
     oracle_is_thin,
-    path_count,
     rank,
     unfold,
 )

@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from conftest import _reference_beh_equal, all_coalgebras, blow_up, build, relabel
+from conftest import (
+    _reference_beh_equal,
+    all_coalgebras,
+    blow_up,
+    build,
+    path_count,
+    relabel,
+)
 from thincoalg import (
     Coalgebra,
     CoalgebraError,
@@ -24,12 +31,12 @@ from thincoalg.coalgebra import (
     cycles_through,
     disjoint_union,
     minimize,
-    path_count,
     paths_to_depth,
     reachable_condensation,
     reachable_states,
     validate_path,
 )
+from thincoalg.signature import _orbit_min
 from thincoalg.thinness import oracle_is_thin
 
 
@@ -349,6 +356,61 @@ def _refine_by_rounds(c, states):
         nblocks = len(distinct)
 
 
+def _refine_signing_all(c, states, orbit_min=_orbit_min):
+    # Reference: the same worklist refinement, except that the first round
+    # signs every state, (op, orbit minimum of all-zero ids), where
+    # ``_refine`` groups by op.  Block dicts must come out identical.
+    records = c.sig._records
+    tr = c.transition
+    block = [0] * c.n_states
+    lookup = block.__getitem__
+    preds = {s: [] for s in states}
+    for s in states:
+        for t in set(tr[s].args):
+            preds[t].append(s)
+    members = [set(states)]
+    mark = bytearray(c.n_states)
+    dirty = list(states)
+    while dirty:
+        touched = {}
+        for s in dirty:
+            e = tr[s]
+            key = (e.op, orbit_min(records[e.op], tuple(map(lookup, e.args))))
+            touched.setdefault(block[s], {}).setdefault(key, set()).add(s)
+        moved = []
+        for b, by_key in sorted(touched.items()):
+            parts = [p for _, p in sorted(by_key.items())]
+            rest = members[b]
+            rest_size = len(rest) - sum(map(len, parts))
+            if rest_size == 0 and len(parts) == 1:
+                continue
+            for p in parts:
+                rest.difference_update(p)
+            largest = max(parts, key=len)
+            if rest_size >= len(largest):
+                moving = parts
+            else:
+                members[b] = largest
+                moving = [p for p in parts if p is not largest]
+                if rest:
+                    moving.append(rest)
+            for p in moving:
+                nb = len(members)
+                members.append(p)
+                for s in p:
+                    block[s] = nb
+                moved.extend(p)
+        dirty = []
+        for t in moved:
+            for s in preds[t]:
+                if not mark[s]:
+                    mark[s] = 1
+                    dirty.append(s)
+        for s in dirty:
+            mark[s] = 0
+    return {s: block[s] for s in states}
+
+
 def _partition(block):
     # Block ids are arbitrary: name each block by its least member.
     least = {}
@@ -369,6 +431,7 @@ def _assert_refines_like_reference(c):
         got = _refine(c, states)
         assert sorted(got) == sorted(states)
         assert _partition(got) == _partition(_refine_by_rounds(c, states))
+        assert got == _refine_signing_all(c, states)
 
 
 def _assert_minimizes_like_reference(c, monkeypatch):
@@ -443,9 +506,32 @@ def test_refine_follows_long_chains(sig_poly):
         rows.append(("c", ()) if end == "c" else ("b", (base + 20, base + 20)))
     c = build(sig_poly, rows).coalg
     states = list(range(c.n_states))
+    assert _refine(c, states) == _refine_signing_all(c, states)
     got = _partition(_refine(c, states))
     assert got == _partition(_refine_by_rounds(c, states))
     assert len(set(got.values())) == 42
+
+
+def test_refine_starts_from_the_partition_by_op(sig_mixed, sig_wide, monkeypatch):
+    # The first round signs no state; every later round signs what the
+    # reference signs, so the reference signs exactly len(states) more.
+    signed = {"got": 0, "ref": 0}
+
+    def counting(side):
+        def count(*args):
+            signed[side] += 1
+            return _orbit_min(*args)
+
+        return count
+
+    monkeypatch.setattr(coalgebra, "_orbit_min", counting("got"))
+    for sig in (sig_mixed, sig_wide):
+        for c in _merging_systems(sig):
+            states = list(range(c.n_states))
+            signed.update(got=0, ref=0)
+            got = _refine(c, states)
+            assert got == _refine_signing_all(c, states, counting("ref"))
+            assert signed["ref"] == signed["got"] + len(states)
 
 
 # -- behavioural equality and fingerprints --------------------------------
@@ -586,6 +672,8 @@ def test_canonical_key_ignores_state_numbering(sig_bag, sig_server, sig_wide):
             # Block ids are fixed by structure, not by state numbers.
             block = _refine(pc.coalg, range(n))
             moved = _refine(shuffled.coalg, range(n))
+            assert block == _refine_signing_all(pc.coalg, range(n))
+            assert moved == _refine_signing_all(shuffled.coalg, range(n))
             assert all(moved[pi[s]] == block[s] for s in range(n))
 
 
