@@ -20,6 +20,7 @@ import gc
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
+from threading import Lock
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CoalgebraError
@@ -118,6 +119,10 @@ def _memo(pc: PointedCoalgebra, name: str, build):
         return value
 
 
+_PAUSE_LOCK = Lock()
+_pauses = [0, False]  # open scopes; whether the first one found the collector on
+
+
 @contextmanager
 def _collector_paused():
     """Pause the cyclic garbage collector for one bulk build or analysis.
@@ -125,20 +130,24 @@ def _collector_paused():
     A full collection walks every tracked object, and the file loaders,
     ``dump_coalgebra`` and the thinness analysis and witness make hundreds of
     thousands (``FElem`` tuples are never untracked).  Safe: they make only
-    acyclic containers, and cyclic garbage from other threads is collected
-    after the scope.  A collector disabled on entry is left alone, so nested
-    scopes leave the switch to the outermost one.  Caveat: the switch is
-    process-wide, so a scope re-enables a collector that another thread
-    disabled inside it.
+    acyclic containers, and cyclic garbage is collected after the pause.  The
+    first scope to open, in any thread, disables the collector; the last to
+    close re-enables it if the first found it enabled.  Caveats: the switch is
+    process-wide, so while any scope is open every thread's cyclic garbage
+    waits, and the last scope re-enables a collector that another thread
+    disabled meanwhile.
     """
-    if gc.isenabled():
+    with _PAUSE_LOCK:
+        _pauses[1] = _pauses[1] if _pauses[0] else gc.isenabled()
+        _pauses[0] += 1
         gc.disable()
-        try:
-            yield
-        finally:
-            gc.enable()
-    else:
+    try:
         yield
+    finally:
+        with _PAUSE_LOCK:
+            _pauses[0] -= 1
+            if not _pauses[0] and _pauses[1]:
+                gc.enable()
 
 
 def _kept_quotient(pc: PointedCoalgebra) -> PointedCoalgebra:
@@ -373,15 +382,14 @@ def _refine(c: Coalgebra, states: Sequence[int]) -> dict[int, int]:
 
     ``states`` must be closed under successors.  Worklist refinement in the
     manner of Hopcroft and of Valmari & Lehtinen: the first round splits by op,
-    the key of every state while all ids are 0, and signs none.  Each later
-    round re-signs only the dirty states, groups them by (block, key), and
-    splits each touched block into one part per key plus the untouched rest, if
-    any.  The largest part keeps the block id, every other part gets a fresh
-    one, and the predecessors of the states that got a fresh id are the next
-    round's dirty states.  A key is the state's op and the orbit minimum of its
-    successors' block ids, straight from ``signature._orbit_min``: the
-    coalgebra's elements were checked when it was built, so signing builds and
-    checks no element.
+    every state's key while all ids are 0, and signs none.  Each later round
+    re-signs only the dirty states, groups them by (block, key), and splits
+    each touched block into one part per key plus the untouched rest, if any.
+    The largest part keeps the block id, every other part gets a fresh one,
+    and the predecessors of the states that got a fresh id are the next
+    round's dirty states.  A key is the op and the orbit minimum of the
+    successors' block ids, straight from ``signature._orbit_min``: elements
+    were checked at construction, so signing builds and checks none.
 
     Invariant: the untouched members of a block share one key, since none of
     their successors changed id since they were last signed together.  A
@@ -405,7 +413,6 @@ def _refine(c: Coalgebra, states: Sequence[int]) -> dict[int, int]:
         for t in set(tr[s].args):
             preds[t].append(s)
     members = [set(states)]
-    mark = bytearray(c.n_states)
     touched: dict[int, dict] = {}
     for s in states:
         touched.setdefault(0, {}).setdefault(tr[s].op, set()).add(s)
@@ -433,15 +440,8 @@ def _refine(c: Coalgebra, states: Sequence[int]) -> dict[int, int]:
                 for s in p:
                     block[s] = nb
                 moved.extend(p)
-        dirty = []
-        for t in moved:
-            for s in preds[t]:
-                if not mark[s]:
-                    mark[s] = 1
-                    dirty.append(s)
         touched = {}
-        for s in dirty:
-            mark[s] = 0
+        for s in dict.fromkeys(u for t in moved for u in preds[t]):
             e = tr[s]
             key = (e.op, _orbit_min(records[e.op], tuple(map(lookup, e.args))))
             touched.setdefault(block[s], {}).setdefault(key, set()).add(s)

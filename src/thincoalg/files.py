@@ -98,6 +98,7 @@ def dump_signature(sig: SignatureSpec) -> dict:
 # -- coalgebras -----------------------------------------------------------
 
 
+@_collector_paused()
 def load_coalgebra(
     src: Any, sig: SignatureSpec | None = None
 ) -> tuple[Coalgebra, int | None]:
@@ -107,50 +108,49 @@ def load_coalgebra(
     document's own location; an explicit ``sig`` argument wins over both.
     """
     base_dir = Path(src).parent if isinstance(src, (str, Path)) else Path(".")
-    with _collector_paused():
-        data = _load(src)
-        if not isinstance(data, dict):
-            raise CoalgebraError("coalgebra document must be an object")
-        if sig is None:
-            ref = data.get("signature")
-            if ref is None:
-                raise CoalgebraError("no signature: pass one or embed 'signature'")
-            sig = load_signature(base_dir / ref if isinstance(ref, str) else ref)
-        n = data.get("states")
-        if not _is_int(n) or n < 0:
-            raise CoalgebraError("'states' must be a nonnegative integer")
-        rows = data.get("transitions")
-        if not isinstance(rows, list) or len(rows) != n:
-            raise CoalgebraError(f"'transitions' must list exactly {n} entries")
-        transitions = []
-        for s, row in enumerate(rows):
-            if not isinstance(row, dict) or not isinstance(row.get("op"), str):
-                raise CoalgebraError(f"state {s}: transition needs an 'op' string")
-            tup = row.get("tuple", [])
-            if not _is_int_list(tup):
-                raise CoalgebraError(f"state {s}: 'tuple' must be a list of integers")
-            transitions.append(sig.canonical_tuple(row["op"], tup))
-        coalg = Coalgebra(sig, tuple(transitions))
-        root = data.get("root")
-        if root is not None and not _is_int(root):
-            raise CoalgebraError("'root' must be an integer")
-        if root is not None and not 0 <= root < n:
-            raise CoalgebraError(f"root {root} out of range")
-        return coalg, root
+    data = _load(src)
+    if not isinstance(data, dict):
+        raise CoalgebraError("coalgebra document must be an object")
+    if sig is None:
+        ref = data.get("signature")
+        if ref is None:
+            raise CoalgebraError("no signature: pass one or embed 'signature'")
+        sig = load_signature(base_dir / ref if isinstance(ref, str) else ref)
+    n = data.get("states")
+    if not _is_int(n) or n < 0:
+        raise CoalgebraError("'states' must be a nonnegative integer")
+    rows = data.get("transitions")
+    if not isinstance(rows, list) or len(rows) != n:
+        raise CoalgebraError(f"'transitions' must list exactly {n} entries")
+    transitions = []
+    for s, row in enumerate(rows):
+        if not isinstance(row, dict) or not isinstance(row.get("op"), str):
+            raise CoalgebraError(f"state {s}: transition needs an 'op' string")
+        tup = row.get("tuple", [])
+        if not _is_int_list(tup):
+            raise CoalgebraError(f"state {s}: 'tuple' must be a list of integers")
+        transitions.append(sig.canonical_tuple(row["op"], tup))
+    coalg = Coalgebra(sig, tuple(transitions))
+    root = data.get("root")
+    if root is not None and not _is_int(root):
+        raise CoalgebraError("'root' must be an integer")
+    if root is not None and not 0 <= root < n:
+        raise CoalgebraError(f"root {root} out of range")
+    return coalg, root
 
 
+@_collector_paused()
 def dump_coalgebra(c: Coalgebra, root: int | None = None) -> dict:
-    with _collector_paused():
-        doc: dict[str, Any] = {
-            "signature": dump_signature(c.sig),
-            "states": c.n_states,
-            "transitions": [
-                {"op": e.op, "tuple": list(e.args)} for e in c.transition
-            ],
-        }
-        if root is not None:
-            doc["root"] = root
-        return doc
+    doc: dict[str, Any] = {
+        "signature": dump_signature(c.sig),
+        "states": c.n_states,
+        "transitions": [
+            {"op": e.op, "tuple": list(e.args)} for e in c.transition
+        ],
+    }
+    if root is not None:
+        doc["root"] = root
+    return doc
 
 
 # -- terms ----------------------------------------------------------------
@@ -221,9 +221,9 @@ def _term_from(data: Any, sig: SignatureSpec) -> Term:
         stack[-1][4].append(value)
 
 
+@_collector_paused()
 def load_term(src: Any, sig: SignatureSpec) -> Term:
-    with _collector_paused():
-        return _term_from(_load(src), sig)
+    return _term_from(_load(src), sig)
 
 
 def dump_term(t: Term) -> dict:

@@ -102,6 +102,7 @@ def _walk(par, source: int, target: int) -> tuple[int, ...]:
     return tuple(states)
 
 
+@_collector_paused()
 def _witness(
     c: Coalgebra,
     offs: array,
@@ -110,41 +111,40 @@ def _witness(
     offender: int,
     comp_members: tuple[int, ...],
 ) -> ThinWitness:
-    with _collector_paused():
-        n = c.n_states
-        mem = bytearray(n)
-        for s in comp_members:
-            mem[s] = 1
-        in_pairs = [p for p in c.successors(offender) if mem[p[0]]]
-        (t1, k1), (t2, k2) = in_pairs[0], in_pairs[1]
+    n = c.n_states
+    mem = bytearray(n)
+    for s in comp_members:
+        mem[s] = 1
+    in_pairs = [p for p in c.successors(offender) if mem[p[0]]]
+    (t1, k1), (t2, k2) = in_pairs[0], in_pairs[1]
 
-        # A shortest path from the root, by a forward BFS stopped at the offender.
-        def forward(s: int):
-            return flat[offs[s] : offs[s + 1]]
+    # A shortest path from the root, by a forward BFS stopped at the offender.
+    def forward(s: int):
+        return flat[offs[s] : offs[s + 1]]
 
-        access = _walk(_bfs_until(forward, root, n, (offender,)), root, offender)
+    access = _walk(_bfs_until(forward, root, n, (offender,)), root, offender)
 
-        # Shortest in-component routes from t1 and t2 back to the offender: a
-        # reverse BFS over the component's internal edges, stopped once both are
-        # reached.  One pass over the members in order fills a source list per
-        # target, so each list holds its sources in member order.  Edges leaving
-        # the component land in lists the search never reads: it starts inside
-        # the component and every source it meets is a member.
-        rev: list[list[int]] = [[] for _ in range(n)]
-        for s in comp_members:
-            for t in flat[offs[s] : offs[s + 1]]:
-                rev[t].append(s)
-        back = _bfs_until(rev.__getitem__, offender, n, (t1, t2))
+    # Shortest in-component routes from t1 and t2 back to the offender: a
+    # reverse BFS over the component's internal edges, stopped once both are
+    # reached.  One pass over the members in order fills a source list per
+    # target, so each list holds its sources in member order.  Edges leaving
+    # the component land in lists the search never reads: it starts inside
+    # the component and every source it meets is a member.
+    rev: list[list[int]] = [[] for _ in range(n)]
+    for s in comp_members:
+        for t in flat[offs[s] : offs[s + 1]]:
+            rev[t].append(s)
+    back = _bfs_until(rev.__getitem__, offender, n, (t1, t2))
 
-        def close(t: int, k: int) -> FinitePath:
-            states = _walk(back, offender, t)[::-1]
-            return FinitePath((offender, *states), (k,) + (0,) * (len(states) - 1))
+    def close(t: int, k: int) -> FinitePath:
+        states = _walk(back, offender, t)[::-1]
+        return FinitePath((offender, *states), (k,) + (0,) * (len(states) - 1))
 
-        return ThinWitness(
-            access=FinitePath(access, (0,) * (len(access) - 1)),
-            cycle1=close(t1, k1),
-            cycle2=close(t2, k2),
-        )
+    return ThinWitness(
+        access=FinitePath(access, (0,) * (len(access) - 1)),
+        cycle1=close(t1, k1),
+        cycle2=close(t2, k2),
+    )
 
 
 def _thin_components(pc: PointedCoalgebra):
@@ -166,25 +166,25 @@ def _thin_components(pc: PointedCoalgebra):
     return _memo(pc, "_thin", _analyse)
 
 
+@_collector_paused()
 def _analyse(pc: PointedCoalgebra):
-    with _collector_paused():
-        c = pc.coalg
-        offs, flat = _csr(c)
-        comps, comp = _scc_csr(offs, flat, [pc.root], c.n_states)
-        looped = bytearray(len(comps))
-        for ci, members in enumerate(comps):
-            # A component passes when every member keeps at most one edge inside
-            # it; strong connectivity then forces a plain loop or a lone state.
-            for s in members:
-                k = 0
-                for t in c.transition[s].args:
-                    if comp[t] == ci:
-                        k += 1
-                if k >= 2:
-                    return offs, flat, comps, comp, looped, (s, ci)
-                if k:
-                    looped[ci] = 1
-        return None, None, comps, comp, looped, None
+    c = pc.coalg
+    offs, flat = _csr(c)
+    comps, comp = _scc_csr(offs, flat, [pc.root], c.n_states)
+    looped = bytearray(len(comps))
+    for ci, members in enumerate(comps):
+        # A component passes when every member keeps at most one edge inside
+        # it; strong connectivity then forces a plain loop or a lone state.
+        for s in members:
+            k = 0
+            for t in c.transition[s].args:
+                if comp[t] == ci:
+                    k += 1
+            if k >= 2:
+                return offs, flat, comps, comp, looped, (s, ci)
+            if k:
+                looped[ci] = 1
+    return None, None, comps, comp, looped, None
 
 
 def _require_thin(pc: PointedCoalgebra):

@@ -8,6 +8,7 @@ had already disabled it, and when scopes follow or nest inside each other.
 
 import gc
 import json
+import threading
 
 import pytest
 
@@ -137,3 +138,28 @@ def test_nested_scopes_leave_the_switch_to_the_outermost():
                 raise ValueError
         assert not gc.isenabled()
     assert gc.isenabled()
+
+
+
+def test_overlapping_scopes_in_two_threads_keep_the_pause_to_the_last():
+    # The other thread's scope opens first and closes first.
+    opened, release = threading.Event(), threading.Event()
+
+    def hold():
+        with coalgebra._collector_paused():
+            opened.set()
+            release.wait(10)
+
+    gc.enable()
+    other = threading.Thread(target=hold)
+    other.start()
+    try:
+        assert opened.wait(10)
+        with coalgebra._collector_paused():
+            release.set()
+            other.join()
+            assert not gc.isenabled()
+        assert gc.isenabled()
+    finally:
+        release.set()
+        other.join()
