@@ -7,11 +7,10 @@ indices, so a successor occurring twice in a tuple contributes two edges.
 Includes strongly connected components (iterative path-based search, linear
 time), behavioural minimization by worklist partition refinement (only the
 predecessors of states that changed block are re-signed, O(m log n)
-signings), behavioural equality, and an isomorphism-invariant canonical key
-used to fingerprint behaviours.  Refinement block ids depend only on
-structure, never on state numbering.  What is derived from a pointed
-coalgebra is derived once and kept on it: the rule and the list of kept
-values are in the ``PointedCoalgebra`` docstring.
+signings), and an isomorphism-invariant canonical key that fingerprints
+behaviours; behavioural equality compares keys.  Refinement block ids depend
+only on structure, never on state numbering.  What is kept on a pointed
+coalgebra is listed in ``PointedCoalgebra``.
 """
 
 from __future__ import annotations
@@ -80,18 +79,17 @@ class PointedCoalgebra:
       shared by ``is_thin``, the census, ``state_ranks``, ``cb_rank`` and
       ``extract_normal``;
     * ``_minimal``: the minimal quotient and state mapping (``minimize``);
-    * ``_key``: the canonical key (``canonical_key``), read off the kept
-      quotient;
+    * ``_key``: the canonical key (``canonical_key``, ``beh_equal``), read
+      off the kept quotient;
     * ``_ranks``: the per-state rank lists (``thinness._rank_fold``), read
       by the census, ``cb_rank``, ``state_ranks`` and ``extract_normal``.
 
     Kept values are no dataclass fields, so ``==``, ``hash`` and ``repr``
     see only ``coalg`` and ``root``; pickling carries them along, and
     ``dataclasses.replace`` builds a new object, which analyses itself
-    afresh.  No consumer writes to a kept value: ``minimize`` hands out a
-    fresh copy of its mapping, ``state_ranks`` builds a fresh table, and
-    ``beh_equal`` only reads whether a quotient is kept
-    (``_kept_quotient``).
+    afresh.  Only ``_memo`` writes a kept value, and every caller gets the
+    same one, so no consumer writes to it: ``minimize`` hands out a fresh
+    copy of its mapping and ``state_ranks`` builds a fresh table.
     """
 
     coalg: Coalgebra
@@ -108,8 +106,7 @@ def _memo(pc: PointedCoalgebra, name: str, build):
 
     The only writer of a pointed coalgebra's instance dictionary: the frozen
     dataclass forbids plain assignment, and a value derived from a frozen
-    object never goes stale.  Every caller gets the same value, so none may
-    write to it.  The kept values are listed in ``PointedCoalgebra``.
+    object never goes stale.  The rule is stated in ``PointedCoalgebra``.
     """
     try:
         return pc.__dict__[name]
@@ -148,13 +145,6 @@ def _collector_paused():
             _pauses[0] -= 1
             if not _pauses[0] and _pauses[1]:
                 gc.enable()
-
-
-def _kept_quotient(pc: PointedCoalgebra) -> PointedCoalgebra:
-    """The minimal quotient ``minimize`` has kept on ``pc``, or ``pc``
-    itself when none is kept yet.  Reads only: it neither builds nor
-    writes."""
-    return pc.__dict__.get("_minimal", (pc,))[0]
 
 
 @dataclass(frozen=True)
@@ -452,10 +442,9 @@ def minimize(pc: PointedCoalgebra) -> tuple[PointedCoalgebra, dict[int, int]]:
     """Reachable behavioural quotient and the state mapping onto it.
 
     The mapping covers exactly the states reachable from the root.  Quotient
-    states are numbered in BFS order from the root's block.  The refinement
-    runs once per pointed coalgebra: the pair is kept on ``pc`` (see
-    ``PointedCoalgebra``), and every call returns the same quotient with a
-    fresh copy of the mapping, which the caller may change freely.
+    states are numbered in BFS order from the root's block.  The pair is
+    kept on ``pc`` (see ``PointedCoalgebra``); every call returns the same
+    quotient with a fresh copy of the mapping.
     """
     quotient, mapping = _memo(pc, "_minimal", _minimal_quotient)
     return quotient, dict(mapping)
@@ -491,44 +480,12 @@ def _minimal_quotient(pc: PointedCoalgebra) -> tuple[PointedCoalgebra, dict[int,
     return PointedCoalgebra(quotient, 0), mapping
 
 
-def _require_same_sig(c1: Coalgebra, c2: Coalgebra) -> None:
-    if c1.sig != c2.sig:
-        raise CoalgebraError("signature mismatch in disjoint union")
-
-
-def disjoint_union(c1: Coalgebra, c2: Coalgebra) -> Coalgebra:
-    _require_same_sig(c1, c2)
-    n1 = c1.n_states
-    shifted = [c1.sig.map_elem(e, lambda t: t + n1) for e in c2.transition]
-    return Coalgebra(c1.sig, c1.transition + tuple(shifted))
-
-
 def beh_equal(pc1: PointedCoalgebra, pc2: PointedCoalgebra) -> bool:
-    """Behavioural equality of the two roots.
-
-    Minimizes nothing; the path taken depends only on what is kept on the
-    two objects (see ``PointedCoalgebra``).  When both sides have a kept
-    quotient, the answer is whether their canonical keys are equal, and the
-    keys stay kept.  Otherwise it refines one disjoint union, in which each
-    side enters as its kept quotient or as itself: a quotient's root is
-    behaviourally equal to its input's root.  So a fresh pair is refined
-    once, which is cheaper than minimizing and keying both sides.
-    """
-    q1, q2 = _kept_quotient(pc1), _kept_quotient(pc2)
-    if q1 is not pc1 and q2 is not pc2:
-        _require_same_sig(pc1.coalg, pc2.coalg)
-        return canonical_key(pc1) == canonical_key(pc2)
-    union = disjoint_union(q1.coalg, q2.coalg)
-    r1 = q1.root
-    r2 = q2.root + q1.coalg.n_states
-    states = reachable_states(union, r1)
-    seen = set(states)
-    for s in reachable_states(union, r2):
-        if s not in seen:
-            states.append(s)
-            seen.add(s)
-    block = _refine(union, states)
-    return block[r1] == block[r2]
+    """Behavioural equality of the two roots: whether their canonical keys
+    are equal.  Both keys stay kept (see ``PointedCoalgebra``)."""
+    if pc1.coalg.sig != pc2.coalg.sig:
+        raise CoalgebraError("signature mismatch")
+    return canonical_key(pc1) == canonical_key(pc2)
 
 
 def canonical_key(pc: PointedCoalgebra):

@@ -1,17 +1,19 @@
 """Operational reading of terms: unfold into a finite pointed coalgebra.
 
-States are the closure of the start term under branching-node arguments,
+States are the closure of the start terms under branching-node arguments,
 stream tails and context sides.  A branching node steps to its own value over
 state ids; a stream node steps to its head context plugged with the state of
 its tail.  Lassos have finitely many tails, so the closure is finite and the
-unfolding of a finitary term is always a finite coalgebra.
+unfolding of a finitary term is always a finite coalgebra.  Two terms are
+compared by refining one table of both unfoldings, in which the subterms
+they share are one state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coalgebra import Coalgebra, PointedCoalgebra, beh_equal
+from .coalgebra import Coalgebra, PointedCoalgebra, _refine
 from .signature import SignatureSpec
 from .terms import FNode, GNode, Term
 
@@ -28,8 +30,15 @@ def unfold(sig: SignatureSpec, t: Term) -> UnfoldResult:
     State ids follow discovery order, so the result is deterministic in the
     structure of ``t``.
     """
-    index: dict[Term, int] = {t: 0}
-    queue: list[Term] = [t]
+    coalg, index = _unfold(sig, (t,))
+    return UnfoldResult(PointedCoalgebra(coalg, 0), index)
+
+
+def _unfold(sig: SignatureSpec, roots: tuple[Term, ...]) -> tuple[Coalgebra, dict[Term, int]]:
+    # One table of the positions reachable from any root, numbered in
+    # discovery order from the roots in turn, and the state of each term.
+    index: dict[Term, int] = {}
+    queue: list[Term] = []
 
     def state_of(u: Term) -> int:
         i = index.get(u)
@@ -39,6 +48,8 @@ def unfold(sig: SignatureSpec, t: Term) -> UnfoldResult:
             queue.append(u)
         return i
 
+    for t in roots:
+        state_of(t)
     transitions = []
     pos = 0
     while pos < len(queue):
@@ -50,10 +61,15 @@ def unfold(sig: SignatureSpec, t: Term) -> UnfoldResult:
             stream = u.stream
             head = sig.map_ctx(stream.head(), state_of)
             transitions.append(sig.plug(head, state_of(GNode(stream.tail()))))
-    coalg = Coalgebra(sig, tuple(transitions))
-    return UnfoldResult(PointedCoalgebra(coalg, 0), index)
+    return Coalgebra(sig, tuple(transitions)), index
 
 
 def beh_equal_terms(sig: SignatureSpec, a: Term, b: Term) -> bool:
-    """Do the two terms unfold to behaviourally equal states?"""
-    return beh_equal(unfold(sig, a).pc, unfold(sig, b).pc)
+    """Do the two terms unfold to behaviourally equal states?
+
+    Refines their shared unfolding once, over all its states: each one is
+    reachable from ``a`` or ``b``, so none is refined in vain.
+    """
+    coalg, index = _unfold(sig, (a, b))
+    block = _refine(coalg, range(coalg.n_states))
+    return block[index[a]] == block[index[b]]

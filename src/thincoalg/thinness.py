@@ -160,8 +160,7 @@ def _thin_components(pc: PointedCoalgebra):
     the coalgebra is thin.  Only the witness reads the adjacency, so
     ``offs`` and ``flat`` are ``None`` when there is no offender.
 
-    The analysis runs once per pointed coalgebra and is kept on it (see
-    ``coalgebra._memo``), so every consumer reads it and none writes to it.
+    Kept on ``pc`` (see ``PointedCoalgebra``).
     """
     return _memo(pc, "_thin", _analyse)
 
@@ -245,8 +244,8 @@ class PathClassCount:
 
 
 def _ranks(pc: PointedCoalgebra):
-    """The lists of ``_rank_fold``, built once per pointed coalgebra and kept
-    on it; no consumer writes to them."""
+    """The lists of ``_rank_fold``, kept on ``pc`` (see
+    ``PointedCoalgebra``)."""
     return _memo(pc, "_ranks", _rank_fold)
 
 

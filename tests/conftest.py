@@ -7,10 +7,10 @@ with a three-successor operation whose last two positions commute, and
 ``sig_rotations`` two groups that are no product of symmetric groups, and
 ``sig_c3`` a rotation of three positions beside a unary op.  The builders
 below the fixtures (``build``, ``relabel``, ``blow_up``, ``ladder_tree``),
-the references ``_reference_beh_equal``, ``_reference_census``,
-``_reference_cb_rank`` and ``_reference_rank_table``, the derivative
-oracle ``_derivative_cb_rank`` and the path counter ``path_count`` are
-shared by several test modules.
+the references ``_reference_beh_equal`` (with its ``disjoint_union``),
+``_reference_census``, ``_reference_cb_rank`` and ``_reference_rank_table``,
+the derivative oracle ``_derivative_cb_rank`` and the path counter
+``path_count`` are shared by several test modules.
 """
 
 import itertools
@@ -23,7 +23,7 @@ from thincoalg import (
     PointedCoalgebra,
     SignatureSpec,
 )
-from thincoalg.coalgebra import _refine, disjoint_union, reachable_states
+from thincoalg.coalgebra import _refine, reachable_states
 from thincoalg.normalform import StateRank, StateRankTable
 from thincoalg.terms import Rank
 from thincoalg.thinness import PathClassCount, _require_thin, _thin_components
@@ -233,6 +233,14 @@ def path_count(pc, depth):
                 nxt[t] = nxt.get(t, 0) + m
         counts = nxt
     return sum(counts.values())
+
+
+def disjoint_union(c1, c2):
+    """``c1`` beside ``c2``, whose states are shifted past those of
+    ``c1``."""
+    n1 = c1.n_states
+    shifted = [c1.sig.map_elem(e, lambda t: t + n1) for e in c2.transition]
+    return Coalgebra(c1.sig, c1.transition + tuple(shifted))
 
 
 def _reference_beh_equal(pc1, pc2):

@@ -1,4 +1,5 @@
-"""Lint gate: the component search and the thinness guard have fixed callers.
+"""Lint gate: the component search, the thinness guard and the refinement
+have fixed callers.
 
 Every reachable component analysis of the package is the one that
 ``thinness._analyse`` keeps on a pointed coalgebra, so ``_scc_csr`` is
@@ -6,8 +7,10 @@ called there and in ``coalgebra.reachable_condensation``, the public view
 of the same search, and nowhere else.  The ``_require_thin`` guard is
 passed in two places: ``is_thin`` and the one fold over that analysis,
 ``thinness._rank_fold``, whose kept lists answer the census, ``cb_rank``,
-``state_ranks`` and ``extract_normal``.  A new caller means a second search
-or a second fold; this gate names it.  Standard library only (``ast``).  A
+``state_ranks`` and ``extract_normal``.  ``_refine`` runs for the minimal
+quotient, for its canonical key and over the shared unfolding of two
+terms.  A new caller means a second search, fold or equality path; this
+gate names it.  Standard library only (``ast``).  A
 call is matched by the name it is made through, bare or as an attribute, and
 is charged to the innermost enclosing function (``<module>`` at the top
 level).
@@ -21,6 +24,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "thincoalg"
 ALLOWED = {
     "_scc_csr": {"thinness._analyse", "coalgebra.reachable_condensation"},
     "_require_thin": {"thinness.is_thin", "thinness._rank_fold"},
+    "_refine": {"coalgebra._minimal_quotient", "coalgebra._key", "semantics.beh_equal_terms"},
 }
 
 
@@ -71,6 +75,10 @@ def census(pc):
     return [c for c in comps]
 
 
+def beh_equal(pc1, pc2):
+    return _refine(union, states)
+
+
 class Report:
     def components(self, pc):
         return _scc_csr(offs, flat, [pc.root], n)
@@ -81,8 +89,10 @@ SEARCHED = _scc_csr(offs, flat, [0], 1)
     trees = {"thinness": ast.parse(src)}
     assert callers(trees, "_scc_csr") == {
         "thinness._analyse": 7,
-        "thinness.components": 17,
-        "thinness.<module>": 20,
+        "thinness.components": 21,
+        "thinness.<module>": 24,
     }
     assert callers(trees, "_require_thin") == {"thinness.census": 11}
+    assert callers(trees, "_refine") == {"thinness.beh_equal": 16}
     assert set(callers(trees, "_scc_csr")) != ALLOWED["_scc_csr"]
+    assert set(callers(trees, "_refine")) != ALLOWED["_refine"]

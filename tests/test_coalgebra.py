@@ -9,6 +9,7 @@ from conftest import (
     all_coalgebras,
     blow_up,
     build,
+    disjoint_union,
     path_count,
     relabel,
 )
@@ -29,7 +30,6 @@ from thincoalg.coalgebra import (
     beh_equal,
     canonical_key,
     cycles_through,
-    disjoint_union,
     minimize,
     paths_to_depth,
     reachable_condensation,
@@ -547,14 +547,17 @@ def test_beh_equal_on_fixtures(u_loop, bag_ss, bag_tree, sig_poly):
 
 
 def test_beh_equal_requires_shared_signature(u_loop, bag_ss):
-    with pytest.raises(CoalgebraError, match="signature"):
-        beh_equal(u_loop, bag_ss)
-    # The same error once both sides have kept quotients, and keys compare.
+    # The same error on fresh sides, on minimized sides and on keyed sides.
     a, b = (PointedCoalgebra(pc.coalg, pc.root) for pc in (u_loop, bag_ss))
-    minimize(a)
-    minimize(b)
-    with pytest.raises(CoalgebraError, match="signature mismatch in disjoint union"):
-        beh_equal(b, a)
+    for warm in (None, minimize, canonical_key):
+        if warm is not None:
+            warm(a)
+            warm(b)
+        for pc1, pc2 in ((a, b), (b, a)):
+            with pytest.raises(CoalgebraError, match="signature mismatch"):
+                beh_equal(pc1, pc2)
+        if warm is None:
+            assert "_minimal" not in vars(a) and "_minimal" not in vars(b)
 
 
 def test_disjoint_union_shifts_second(sig_poly, u_loop):
@@ -562,11 +565,12 @@ def test_disjoint_union_shifts_second(sig_poly, u_loop):
     assert c.transition == (FElem("u", (0,)), FElem("u", (1,)))
 
 
-def _fresh_and_minimized(pc):
-    # Two equal objects: one with nothing kept, one with its quotient kept.
-    fresh, warm = PointedCoalgebra(pc.coalg, pc.root), PointedCoalgebra(pc.coalg, pc.root)
-    minimize(warm)
-    return fresh, warm
+def _copy(pc, minimized):
+    # An equal object with nothing kept, or with its quotient kept.
+    out = PointedCoalgebra(pc.coalg, pc.root)
+    if minimized:
+        minimize(out)
+    return out
 
 
 def _assert_matches_reference_warm_or_fresh(pairs):
@@ -574,13 +578,12 @@ def _assert_matches_reference_warm_or_fresh(pairs):
     for pc1, pc2 in pairs:
         want = _reference_beh_equal(pc1, pc2)
         equal += want
-        sides1, sides2 = _fresh_and_minimized(pc1), _fresh_and_minimized(pc2)
-        for a in sides1:
-            for b in sides2:
+        for warm1 in (False, True):
+            for warm2 in (False, True):
+                a, b = _copy(pc1, warm1), _copy(pc2, warm2)
                 assert beh_equal(a, b) == want
-        # beh_equal minimizes nothing: the fresh sides stay fresh.
-        assert coalgebra._kept_quotient(sides1[0]) is sides1[0]
-        assert coalgebra._kept_quotient(sides2[0]) is sides2[0]
+                # Both keys stay kept.
+                assert "_key" in vars(a) and "_key" in vars(b)
     assert 0 < equal < len(pairs)
 
 
@@ -625,21 +628,22 @@ def test_beh_equal_refines_the_kept_quotients(sig_mixed, monkeypatch):
         root = rng.randrange(c.n_states)
         pc1, pc2 = PointedCoalgebra(c, root), PointedCoalgebra(big, pi[root])
         reach = [len(reachable_states(pc.coalg, pc.root)) for pc in (pc1, pc2)]
-        # A fresh pair: every reachable state of both inputs.
+        q1, q2 = (
+            minimize(PointedCoalgebra(pc.coalg, pc.root))[0].coalg.n_states for pc in (pc1, pc2)
+        )
+        # A fresh pair: each side is minimized, then its quotient is refined
+        # for its key.
         sizes.clear()
         assert beh_equal(pc1, pc2)
-        assert sizes == [sum(reach)]
-        # One side minimized: its quotient beside the other input.
-        q1 = minimize(pc1)[0].coalg.n_states
+        assert sizes == [reach[0], q1, reach[1], q2]
+        # One side minimized: only its key is left to refine.
+        warm, fresh = PointedCoalgebra(c, root), PointedCoalgebra(big, pi[root])
+        minimize(warm)
         sizes.clear()
-        assert beh_equal(pc1, pc2)
-        assert sizes == [q1 + reach[1]]
-        # Both minimized: each quotient once, for its key, and the keys are
-        # kept, so neither a second call nor canonical_key refines again.
-        q2 = minimize(pc2)[0].coalg.n_states
-        sizes.clear()
-        assert beh_equal(pc1, pc2)
-        assert sizes == [q1, q2]
+        assert beh_equal(warm, fresh)
+        assert sizes == [q1, reach[1], q2]
+        # The keys are kept, so neither a second call nor canonical_key
+        # refines again.
         sizes.clear()
         assert beh_equal(pc2, pc1) and canonical_key(pc1) == canonical_key(pc2)
         assert sizes == []

@@ -6,12 +6,10 @@ go stale.  Any other write (``object.__setattr__``, ``object.__delattr__``,
 ``obj.__dict__`` or ``vars(obj)``) could leave a kept analysis that no
 longer matches, so no other code in the package may use them.  Standard
 library only (``ast``).  The gate cannot see types: it flags each of these
-names anywhere in the package outside two functions, ``_memo`` and the
-read-only ``coalgebra._kept_quotient``, which is checked to only read.
-A second check keeps the names of kept values apart: every
-``_memo(pc, NAME, BUILD)`` call passes a string literal as ``NAME``, and
-each name always comes with the same builder, so no two analyses can
-overwrite or read each other's kept value.
+names anywhere in the package outside ``_memo``.  A second check keeps the
+names of kept values apart: every ``_memo(pc, NAME, BUILD)`` call passes a
+string literal as ``NAME``, and each name always comes with the same
+builder, so no two analyses can overwrite or read each other's kept value.
 """
 
 import ast
@@ -22,8 +20,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "thincoalg"
 
 BYPASSES = {"__setattr__", "__delattr__"}
-# The writer, then the one reader of what it keeps.
-ALLOWED = ("coalgebra.py", ("_memo", "_kept_quotient"))
+ALLOWED = ("coalgebra.py", ("_memo",))
 MODULES = sorted(p.name for p in SRC.glob("*.py"))
 
 
@@ -69,75 +66,9 @@ def _function(tree, name):
 
 def test_the_memo_helper_is_the_writer():
     # The exemption names a function that exists and does the writing.
-    writer, reader = ALLOWED[1]
-    tree = _parse(ALLOWED[0])
-    assert instance_writes(_function(tree, writer))
-    assert instance_writes(_function(tree, reader))
+    (writer,) = ALLOWED[1]
+    assert instance_writes(_function(_parse(ALLOWED[0]), writer))
     assert {"coalgebra.py", "thinness.py", "normalform.py", "treeenc.py"} <= set(MODULES)
-
-
-def reads_only(fn):
-    """True when ``fn`` reaches an instance dictionary only to call ``get``
-    on it, calls no ``__setattr__``, ``__delattr__`` or ``vars``, and
-    assigns nothing: it can look a kept value up but never build or write
-    one."""
-    ok = set()
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            inner = node.func.value
-            if node.func.attr == "get" and isinstance(inner, ast.Attribute):
-                ok.add(id(inner))
-    for node in ast.walk(fn):
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
-            return False
-        if isinstance(node, ast.Attribute) and node.attr == "__dict__" and id(node) not in ok:
-            return False
-        if isinstance(node, ast.Call):
-            func = node.func
-            if (isinstance(func, ast.Attribute) and func.attr in BYPASSES) or (
-                isinstance(func, ast.Name) and func.id == "vars"
-            ):
-                return False
-    return True
-
-
-def test_the_kept_reader_only_reads():
-    writer, reader = ALLOWED[1]
-    tree = _parse(ALLOWED[0])
-    assert reads_only(_function(tree, reader))
-    assert not reads_only(_function(tree, writer))
-
-
-def test_the_reader_check_sees_writes():
-    src = '''
-def get(pc, name):
-    return pc.__dict__.get(name)
-
-def setattr_(pc, name):
-    object.__setattr__(pc, name, None)
-
-def subscript(pc, name):
-    pc.__dict__[name] = None
-
-def setdefault(pc, name):
-    return pc.__dict__.setdefault(name, None)
-
-def through_vars(pc, name):
-    return vars(pc).get(name)
-
-def builds(pc, name):
-    value = pc.__dict__.get(name)
-    return value
-'''
-    verdicts = {fn.name: reads_only(fn) for fn in ast.parse(src).body}
-    assert verdicts == {
-        "get": True,
-        "setattr_": False,
-        "subscript": False,
-        "setdefault": False,
-        "through_vars": False,
-        "builds": False,
-    }
 
 
 def test_the_gate_sees_writes():

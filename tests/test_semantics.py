@@ -4,10 +4,12 @@ import random
 
 import pytest
 
-from thincoalg import FElem
+from conftest import _reference_beh_equal
+from thincoalg import FElem, semantics
 from thincoalg.coalgebra import beh_equal, minimize
 from thincoalg.generate import rand_term
-from thincoalg.semantics import beh_equal_terms, unfold
+from thincoalg.normalform import enumerate_terms
+from thincoalg.semantics import _unfold, beh_equal_terms, unfold
 from thincoalg.terms import FNode, GNode, LassoStream, apply_rewrite, random_rewrite, rewrite_actions
 from thincoalg.thinness import is_thin
 
@@ -77,6 +79,50 @@ def test_beh_equal_terms_on_small_pairs(sig_poly, atoms):
     assert beh_equal_terms(sig_poly, uomega, FNode(sig_poly.canonical_tuple("u", (uomega,))))
     assert not beh_equal_terms(sig_poly, uomega, Fc)
     assert not beh_equal_terms(sig_poly, uomega, atoms["bspine"])
+
+
+def test_beh_equal_terms_refines_one_shared_unfolding(
+    sig_poly, sig_bag, sig_server, monkeypatch
+):
+    calls = []
+    refine = semantics._refine
+
+    def recording(c, states):
+        calls.append((c, list(states)))
+        return refine(c, states)
+
+    monkeypatch.setattr(semantics, "_refine", recording)
+    rng = random.Random(2718)
+    answers, changed = set(), 0
+    for sig in (sig_poly, sig_bag, sig_server):
+        terms = enumerate_terms(sig, 4)
+        pairs = [(a, b) for i, a in enumerate(terms) for b in terms[i:]]
+        rewritten = []
+        for _ in range(30):
+            a, b = (rand_term(sig, rng.randrange(1, 14), rng) for _ in range(2))
+            s = a
+            for _ in range(rng.randrange(1, 6)):
+                s = random_rewrite(sig, s, rng)
+            pairs += [(a, b), (a, a)]
+            rewritten.append((a, s))
+        for a, b in pairs + rewritten:
+            ua, ub = unfold(sig, a).pc, unfold(sig, b).pc
+            want = _reference_beh_equal(ua, ub)
+            calls.clear()
+            assert beh_equal_terms(sig, a, b) == want
+            shared = _unfold(sig, (a, b))[0]
+            assert calls == [(shared, list(range(shared.n_states)))]
+            assert shared.n_states <= ua.coalg.n_states + ub.coalg.n_states
+            if a is b:
+                assert shared == ua.coalg
+            answers.add(want)
+        for a, s in rewritten:
+            assert beh_equal_terms(sig, a, s)
+            changed += a != s
+            assert _unfold(sig, (a, s))[0].n_states < sum(
+                unfold(sig, t).pc.coalg.n_states for t in (a, s)
+            )
+    assert answers == {True, False} and changed > 0
 
 
 def test_unfoldings_are_always_thin(sig_poly, sig_bag, sig_server):
