@@ -9,8 +9,10 @@ time), behavioural minimization by worklist partition refinement (only the
 predecessors of states that changed block are re-signed, O(m log n)
 signings), and an isomorphism-invariant canonical key that fingerprints
 behaviours; behavioural equality compares keys.  Refinement block ids depend
-only on structure, never on state numbering.  What is kept on a pointed
-coalgebra is listed in ``PointedCoalgebra``.
+only on structure, never on state numbering.  The minimal quotient and the
+key are built by one quotient step, ``_quotient``, whose docstring states
+how quotient states are numbered.  What is kept on a pointed coalgebra is
+listed in ``PointedCoalgebra``.
 """
 
 from __future__ import annotations
@@ -442,9 +444,10 @@ def minimize(pc: PointedCoalgebra) -> tuple[PointedCoalgebra, dict[int, int]]:
     """Reachable behavioural quotient and the state mapping onto it.
 
     The mapping covers exactly the states reachable from the root.  Quotient
-    states are numbered in BFS order from the root's block.  The pair is
-    kept on ``pc`` (see ``PointedCoalgebra``); every call returns the same
-    quotient with a fresh copy of the mapping.
+    states are numbered in BFS order from the root's block, by the rule
+    stated in ``_quotient``.  The pair is kept on ``pc`` (see
+    ``PointedCoalgebra``); every call returns the same quotient with a fresh
+    copy of the mapping.
     """
     quotient, mapping = _memo(pc, "_minimal", _minimal_quotient)
     return quotient, dict(mapping)
@@ -453,31 +456,32 @@ def minimize(pc: PointedCoalgebra) -> tuple[PointedCoalgebra, dict[int, int]]:
 def _minimal_quotient(pc: PointedCoalgebra) -> tuple[PointedCoalgebra, dict[int, int]]:
     c = pc.coalg
     order = reachable_states(c, pc.root)
-    block = _refine(c, order)
-    rep: dict[int, int] = {}
+    rows, mapping = _quotient(c, order, _refine(c, order))
+    return PointedCoalgebra(Coalgebra(c.sig, rows), 0), mapping
+
+
+def _quotient(c: Coalgebra, order: Sequence[int], block: dict[int, int]):
+    """The rows of the quotient of ``c`` by ``block``, and the map from each
+    state of ``order``, which must be closed under successors, to its
+    quotient state.
+
+    Blocks are numbered by the first appearance of their states in
+    ``order``.  Each row is built once, by ``SignatureSpec.map_elem``, from
+    the element of its block's first state with every successor mapped to
+    its quotient state; the states of a block are equivalent, so each of
+    them gives that row.  For ``minimize``, ``order`` is the BFS order of the
+    reachable states, so the numbering is the BFS order of the blocks from
+    the root's block: a state that is not the first of its block meets no new
+    block, since the first one, met earlier, has successors in the same
+    blocks.  For ``canonical_key``, ``order`` lists the states by block id.
+    """
+    first: dict[int, int] = {}
     for s in order:
-        rep.setdefault(block[s], s)
-
-    new_id: dict[int, int] = {block[pc.root]: 0}
-    frontier = [block[pc.root]]
-    while frontier:
-        nxt = []
-        for b in frontier:
-            for t in c.transition[rep[b]].args:
-                tb = block[t]
-                if tb not in new_id:
-                    new_id[tb] = len(new_id)
-                    nxt.append(tb)
-        frontier = nxt
-    if len(new_id) != len(rep):
-        raise CoalgebraError("internal: unreachable block in quotient")
-
-    trans = [None] * len(new_id)
-    for b, i in new_id.items():
-        trans[i] = c.sig.map_elem(c.transition[rep[b]], lambda t: new_id[block[t]])
-    quotient = Coalgebra(c.sig, tuple(trans))
+        first.setdefault(block[s], s)
+    new_id = {b: i for i, b in enumerate(first)}
     mapping = {s: new_id[block[s]] for s in order}
-    return PointedCoalgebra(quotient, 0), mapping
+    rows = tuple(c.sig.map_elem(c.transition[s], mapping.__getitem__) for s in first.values())
+    return rows, mapping
 
 
 def beh_equal(pc1: PointedCoalgebra, pc2: PointedCoalgebra) -> bool:
@@ -492,10 +496,11 @@ def canonical_key(pc: PointedCoalgebra):
     """A hashable key equal for exactly the behaviourally equal roots.
 
     Refines the minimal quotient, whose blocks all end singletons with ids
-    fixed by structure: the key is the root's id and one row per state in
-    id order.  Minimizing first matters, since which part keeps a block id
-    depends on part sizes, which differ between equal systems.  The
-    quotient and the key are kept on ``pc`` (see ``PointedCoalgebra``).
+    fixed by structure: the key is the root's id and the rows that
+    ``_quotient`` builds over the states in id order.  Minimizing first
+    matters, since which part keeps a block id depends on part sizes, which
+    differ between equal systems.  The quotient and the key are kept on
+    ``pc`` (see ``PointedCoalgebra``).
     """
     return _memo(pc, "_key", _key)
 
@@ -503,13 +508,8 @@ def canonical_key(pc: PointedCoalgebra):
 def _key(pc: PointedCoalgebra):
     mpc = _memo(pc, "_minimal", _minimal_quotient)[0]
     c = mpc.coalg
-    n = c.n_states
-    block = _refine(c, range(n))
-    if len(set(block.values())) != n:
+    block = _refine(c, range(c.n_states))
+    if len(set(block.values())) != c.n_states:
         raise CoalgebraError("internal: minimal coalgebra with equivalent states")
-    records = c.sig._records
-    rows = [None] * n
-    for s, elem in enumerate(c.transition):
-        args = tuple(map(block.__getitem__, elem.args))
-        rows[block[s]] = (elem.op, _orbit_min(records[elem.op], args))
-    return (block[mpc.root], tuple(rows))
+    rows, mapping = _quotient(c, sorted(block, key=block.__getitem__), block)
+    return (mapping[mpc.root], rows)

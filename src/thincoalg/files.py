@@ -39,7 +39,7 @@ def _load(data: Any) -> Any:
             return json.loads(Path(data).read_text(encoding="utf-8"))
         except OSError as exc:
             raise SignatureError(f"cannot read {data}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SignatureError(f"invalid JSON in {data}: {exc}") from exc
     return data
 

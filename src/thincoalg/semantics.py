@@ -3,10 +3,11 @@
 States are the closure of the start terms under branching-node arguments,
 stream tails and context sides.  A branching node steps to its own value over
 state ids; a stream node steps to its head context plugged with the state of
-its tail.  Lassos have finitely many tails, so the closure is finite and the
-unfolding of a finitary term is always a finite coalgebra.  Two terms are
-compared by refining one table of both unfoldings, in which the subterms
-they share are one state.
+its tail, canonicalized once as a whole tuple (the head's sides get their
+states first, then the tail).  Lassos have finitely many tails, so the
+closure is finite and the unfolding of a finitary term is always a finite
+coalgebra.  Two terms are compared by refining one table of both
+unfoldings, in which the subterms they share are one state.
 """
 
 from __future__ import annotations
@@ -58,9 +59,10 @@ def _unfold(sig: SignatureSpec, roots: tuple[Term, ...]) -> tuple[Coalgebra, dic
         if isinstance(u, FNode):
             transitions.append(sig.map_elem(u.elem, state_of))
         else:
-            stream = u.stream
-            head = sig.map_ctx(stream.head(), state_of)
-            transitions.append(sig.plug(head, state_of(GNode(stream.tail()))))
+            head = u.stream.head()
+            row = list(map(state_of, head.sides))
+            row.insert(head.hole, state_of(GNode(u.stream.tail())))
+            transitions.append(sig.canonical_tuple(head.op, row))
     return Coalgebra(sig, tuple(transitions)), index
 
 

@@ -545,7 +545,7 @@ class SignatureSpec:
 
     def map_elem(self, elem: FElem, f: Callable) -> FElem:
         """Apply ``f`` to every argument and re-canonicalize."""
-        return self.canonical_tuple(elem.op, tuple(f(x) for x in elem.args))
+        return self.canonical_tuple(elem.op, tuple(map(f, elem.args)))
 
     def map_ctx(self, ctx: ContextElem, f: Callable) -> ContextElem:
         """Apply ``f`` to every side value and re-canonicalize."""

@@ -421,6 +421,45 @@ def test_usage_errors(files):
     assert run("validate", str(files["poly_sig"]), "--kind", "nope").returncode == 2
 
 
+def test_every_file_argument_rejects_unreadable_json_with_exit_2(files, tmp_path, capsys):
+    # Exit code 1 is a negative verdict, so a malformed file must give 2 and
+    # one error line.  In process, an escaping exception is the traceback.
+    sig, coalg, term = (str(files[k]) for k in ("poly_sig", "uloop", "uomega"))
+    out = str(tmp_path / "out.json")
+    commands = [
+        ["validate", "{}", "--kind", "signature"],
+        ["validate", "{}", "--kind", "coalgebra"],
+        ["validate", "{}", "--kind", "coalgebra", "--sig", sig],
+        ["validate", coalg, "--kind", "coalgebra", "--sig", "{}"],
+        ["validate", "{}", "--kind", "term", "--sig", sig],
+        ["validate", term, "--kind", "term", "--sig", "{}"],
+        ["gen", "coalgebra", "--sig", "{}", "--size", "3", "--seed", "0", "-o", out],
+        ["gen", "term", "--sig", "{}", "--size", "3", "--seed", "0", "-o", out],
+        ["bench", "--sig", "{}", "--sizes", "5"],
+    ]
+    for cmd in ("check-thin", "paths", "cb-rank"):
+        extra = ["--depth", "1"] if cmd == "paths" else []
+        commands += [[cmd, "{}", coalg, *extra], [cmd, sig, "{}", *extra]]
+    for cmd in ("rank", "normalize", "unfold", "encode"):
+        extra = ["--depth", "2"] if cmd == "encode" else []
+        commands += [[cmd, "{}", "--sig", sig, *extra], [cmd, term, "--sig", "{}", *extra]]
+    commands += [
+        ["eq", "{}", term, "--sig", sig],
+        ["eq", term, "{}", "--sig", sig],
+        ["eq", term, term, "--sig", "{}"],
+    ]
+    contents = {"not_utf8": b"\xff\xfe{}", "truncated": b'{"ops": [', "null": b"null"}
+    for name, data in contents.items():
+        bad = tmp_path / f"{name}.json"
+        bad.write_bytes(data)
+        for template in commands:
+            argv = [str(bad) if a == "{}" else a for a in template]
+            code = cli.main(argv)
+            err = capsys.readouterr().err
+            assert (code, err.count("\n")) == (2, 1), (name, argv, err)
+            assert err.startswith("error: "), (name, argv, err)
+
+
 def _bag_signature(path, n):
     """Write a signature of a nullary op, a unary op and a bag of ``n``."""
     bag = [list(range(1, n)) + [0], [1, 0] + list(range(2, n))]

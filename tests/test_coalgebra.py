@@ -495,16 +495,21 @@ def test_minimize_matches_rounds_exhaustively(sig_poly, sig_bag, sig_server, mon
                 _assert_minimizes_like_reference(c, monkeypatch)
 
 
-def test_refine_follows_long_chains(sig_poly):
+def _three_chains(sig):
     # Two u-chains of 20 steps into c merge state by state; a third chain of
-    # 20 steps into a b-loop stays apart from both.  Telling the chains apart
-    # takes one round per step, well past the exhaustive sizes above.
+    # 20 steps into a b-loop stays apart from both.
     rows = []
     for end in ("c", "c", "b"):
         base = len(rows)
         rows += [("u", (base + i + 1,)) for i in range(20)]
         rows.append(("c", ()) if end == "c" else ("b", (base + 20, base + 20)))
-    c = build(sig_poly, rows).coalg
+    return build(sig, rows).coalg
+
+
+def test_refine_follows_long_chains(sig_poly):
+    # Telling the chains apart takes one round per step, well past the
+    # exhaustive sizes above.
+    c = _three_chains(sig_poly)
     states = list(range(c.n_states))
     assert _refine(c, states) == _refine_signing_all(c, states)
     got = _partition(_refine(c, states))
@@ -532,6 +537,92 @@ def test_refine_starts_from_the_partition_by_op(sig_mixed, sig_wide, monkeypatch
             got = _refine(c, states)
             assert got == _refine_signing_all(c, states, counting("ref"))
             assert signed["ref"] == signed["got"] + len(states)
+
+
+# -- the quotient builder against the builders it replaced ---------------
+
+
+def _reference_minimal_quotient(pc):
+    # Reference: the quotient numbered by a BFS over block representatives.
+    c = pc.coalg
+    order = reachable_states(c, pc.root)
+    block = _refine(c, order)
+    rep = {}
+    for s in order:
+        rep.setdefault(block[s], s)
+    new_id = {block[pc.root]: 0}
+    frontier = [block[pc.root]]
+    while frontier:
+        nxt = []
+        for b in frontier:
+            for t in c.transition[rep[b]].args:
+                if block[t] not in new_id:
+                    new_id[block[t]] = len(new_id)
+                    nxt.append(block[t])
+        frontier = nxt
+    assert len(new_id) == len(rep)
+    trans = [None] * len(new_id)
+    for b, i in new_id.items():
+        trans[i] = c.sig.map_elem(c.transition[rep[b]], lambda t: new_id[block[t]])
+    mapping = {s: new_id[block[s]] for s in order}
+    return PointedCoalgebra(Coalgebra(c.sig, tuple(trans)), 0), mapping
+
+
+def _reference_key(pc):
+    # Reference: the key's rows as plain (op, args) tuples, each written at
+    # its state's block id.
+    mpc = _reference_minimal_quotient(pc)[0]
+    c = mpc.coalg
+    block = _refine(c, range(c.n_states))
+    assert len(set(block.values())) == c.n_states
+    rows = [None] * c.n_states
+    for s, elem in enumerate(c.transition):
+        args = tuple(map(block.__getitem__, elem.args))
+        rows[block[s]] = (elem.op, _orbit_min(c.sig._records[elem.op], args))
+    return (block[mpc.root], tuple(rows))
+
+
+def _assert_quotients_like_reference(pcs):
+    merged = 0
+    for pc in pcs:
+        fresh = PointedCoalgebra(pc.coalg, pc.root)
+        mpc, mapping = minimize(fresh)
+        want_mpc, want_mapping = _reference_minimal_quotient(pc)
+        assert mpc == want_mpc and list(mapping.items()) == list(want_mapping.items())
+        key, want = canonical_key(fresh), _reference_key(pc)
+        assert key == want and hash(key) == hash(want)
+        merged += mpc.coalg.n_states < len(mapping)
+    assert merged > 0
+
+
+@pytest.mark.parametrize("name", ["sig_poly", "sig_bag", "sig_server"])
+def test_quotient_matches_reference_exhaustively(name, request):
+    sig = request.getfixturevalue(name)
+    _assert_quotients_like_reference(
+        PointedCoalgebra(c, root)
+        for n in range(1, 4)
+        for c in all_coalgebras(sig, n)
+        for root in range(n)
+    )
+
+
+@pytest.mark.parametrize("name", ["sig_mixed", "sig_wide"])
+def test_quotient_matches_reference_on_blow_ups(name, request):
+    rng = random.Random(7919)
+    pcs = []
+    for c in _merging_systems(request.getfixturevalue(name)):
+        big, pi = blow_up(rng, c)
+        for root in range(c.n_states):
+            pcs += [PointedCoalgebra(c, root), PointedCoalgebra(big, pi[root])]
+    _assert_quotients_like_reference(pcs)
+
+
+def test_quotient_matches_reference_on_long_chains(sig_poly):
+    _assert_quotients_like_reference(
+        PointedCoalgebra(c, root)
+        for c in (_loop_chain(sig_poly, 50), _three_chains(sig_poly))
+        for root in range(c.n_states)
+    )
 
 
 # -- behavioural equality and fingerprints --------------------------------

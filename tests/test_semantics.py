@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import _reference_beh_equal
-from thincoalg import FElem, semantics
+from thincoalg import Coalgebra, FElem, PointedCoalgebra, semantics
 from thincoalg.coalgebra import beh_equal, minimize
 from thincoalg.generate import rand_term
 from thincoalg.normalform import enumerate_terms
@@ -68,6 +68,51 @@ def test_node_index_replays_the_transition(sig_poly, sig_bag, sig_server):
                     assert sig.map_elem(u.elem, r.node_index.__getitem__) == (
                         r.pc.coalg.transition[i]
                     )
+
+
+def _reference_unfold(sig, t):
+    # The unfolding as built before one canonicalization per stream row:
+    # the head canonicalized as a context over state ids, then plugged with
+    # the tail's state and canonicalized again.
+    index, queue, transitions = {}, [], []
+
+    def state_of(u):
+        if u not in index:
+            index[u] = len(index)
+            queue.append(u)
+        return index[u]
+
+    state_of(t)
+    for u in queue:
+        if isinstance(u, FNode):
+            transitions.append(sig.map_elem(u.elem, state_of))
+        else:
+            head = sig.map_ctx(u.stream.head(), state_of)
+            transitions.append(sig.plug(head, state_of(GNode(u.stream.tail()))))
+    return Coalgebra(sig, tuple(transitions)), index
+
+
+def test_unfold_matches_the_plugged_context_reference(
+    sig_poly, sig_bag, sig_server, sig_c3, sig_mixed
+):
+    rng = random.Random(4242)
+    cases = []
+    for sig, size in ((sig_poly, 5), (sig_bag, 5), (sig_server, 5), (sig_c3, 7), (sig_mixed, 7)):
+        terms = enumerate_terms(sig, size)
+        for _ in range(40):
+            t = s = rand_term(sig, rng.randrange(1, 16), rng)
+            for _ in range(rng.randrange(1, 6)):
+                s = random_rewrite(sig, s, rng)
+            terms += [t, s]
+        cases += [(sig, t) for t in terms]
+    streams = 0
+    for sig, t in cases:
+        got = unfold(sig, t)
+        coalg, index = _reference_unfold(sig, t)
+        assert got.pc == PointedCoalgebra(coalg, 0)
+        assert list(got.node_index.items()) == list(index.items())
+        streams += any(isinstance(u, GNode) for u in index)
+    assert len(cases) > 2000 and streams > len(cases) // 4
 
 
 def test_term_and_fixture_loops_agree(sig_poly, atoms, u_loop):
