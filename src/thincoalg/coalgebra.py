@@ -11,14 +11,16 @@ signings), and an isomorphism-invariant canonical key that fingerprints
 behaviours; behavioural equality compares keys.  Refinement block ids depend
 only on structure, never on state numbering.  The minimal quotient and the
 key are built by one quotient step, ``_quotient``, whose docstring states
-how quotient states are numbered.  What is kept on a pointed coalgebra is
-listed in ``PointedCoalgebra``.
+how quotient states are numbered; the lemma in ``canonical_key`` says when
+the key needs no refinement beyond ``minimize``'s.  What is kept on a
+pointed coalgebra is listed in ``PointedCoalgebra``.
 """
 
 from __future__ import annotations
 
 import gc
 from array import array
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from threading import Lock
@@ -80,7 +82,8 @@ class PointedCoalgebra:
     * ``_thin``: the thinness analysis (``thinness._thin_components``),
       shared by ``is_thin``, the census, ``state_ranks``, ``cb_rank`` and
       ``extract_normal``;
-    * ``_minimal``: the minimal quotient and state mapping (``minimize``);
+    * ``_minimal``: the minimal quotient, the state mapping and each quotient
+      state's block id (``minimize``, ``canonical_key``);
     * ``_key``: the canonical key (``canonical_key``, ``beh_equal``), read
       off the kept quotient;
     * ``_ranks``: the per-state rank lists (``thinness._rank_fold``), read
@@ -449,21 +452,22 @@ def minimize(pc: PointedCoalgebra) -> tuple[PointedCoalgebra, dict[int, int]]:
     ``PointedCoalgebra``); every call returns the same quotient with a fresh
     copy of the mapping.
     """
-    quotient, mapping = _memo(pc, "_minimal", _minimal_quotient)
+    quotient, mapping, _ = _memo(pc, "_minimal", _minimal_quotient)
     return quotient, dict(mapping)
 
 
-def _minimal_quotient(pc: PointedCoalgebra) -> tuple[PointedCoalgebra, dict[int, int]]:
+def _minimal_quotient(pc: PointedCoalgebra):
     c = pc.coalg
     order = reachable_states(c, pc.root)
-    rows, mapping = _quotient(c, order, _refine(c, order))
-    return PointedCoalgebra(Coalgebra(c.sig, rows), 0), mapping
+    rows, mapping, ids = _quotient(c, order, _refine(c, order))
+    return PointedCoalgebra(Coalgebra(c.sig, rows), 0), mapping, ids
 
 
-def _quotient(c: Coalgebra, order: Sequence[int], block: dict[int, int]):
-    """The rows of the quotient of ``c`` by ``block``, and the map from each
-    state of ``order``, which must be closed under successors, to its
-    quotient state.
+def _quotient(c: Coalgebra, order: Sequence[int], block):
+    """The rows of the quotient of ``c`` by ``block`` (a dict or sequence
+    indexed by state), the map from each state of ``order``, which must be
+    closed under successors, to its quotient state, and each quotient
+    state's block id.
 
     Blocks are numbered by the first appearance of their states in
     ``order``.  Each row is built once, by ``SignatureSpec.map_elem``, from
@@ -481,7 +485,7 @@ def _quotient(c: Coalgebra, order: Sequence[int], block: dict[int, int]):
     new_id = {b: i for i, b in enumerate(first)}
     mapping = {s: new_id[block[s]] for s in order}
     rows = tuple(c.sig.map_elem(c.transition[s], mapping.__getitem__) for s in first.values())
-    return rows, mapping
+    return rows, mapping, tuple(first)
 
 
 def beh_equal(pc1: PointedCoalgebra, pc2: PointedCoalgebra) -> bool:
@@ -495,21 +499,32 @@ def beh_equal(pc1: PointedCoalgebra, pc2: PointedCoalgebra) -> bool:
 def canonical_key(pc: PointedCoalgebra):
     """A hashable key equal for exactly the behaviourally equal roots.
 
-    Refines the minimal quotient, whose blocks all end singletons with ids
-    fixed by structure: the key is the root's id and the rows that
-    ``_quotient`` builds over the states in id order.  Minimizing first
+    The key is the root's id and the rows that ``_quotient`` builds over the
+    minimal quotient's states ordered by the ids that refining the quotient
+    gives them, all distinct and fixed by structure.  Minimizing first
     matters, since which part keeps a block id depends on part sizes, which
-    differ between equal systems.  The quotient and the key are kept on
+    differ between equal systems.
+
+    Lemma: if every behaviour class of the reachable states has one size k,
+    the refinement ``minimize`` ran gave each class those ids already, so
+    the quotient is refined only when sizes differ.  By induction on rounds,
+    every block is a union of classes, and a state signs as its quotient
+    state: the orbit minimum of its successors' ids does not depend on which
+    member of a class, or which tuple of an orbit, is signed.  So dirty
+    states and keys agree, every part, rest and block has k times the
+    quotient's size, and each split, size comparison and tie-break, hence
+    each fresh id, comes out the same.  The quotient and the key are kept on
     ``pc`` (see ``PointedCoalgebra``).
     """
     return _memo(pc, "_key", _key)
 
 
 def _key(pc: PointedCoalgebra):
-    mpc = _memo(pc, "_minimal", _minimal_quotient)[0]
+    mpc, mapping, ids = _memo(pc, "_minimal", _minimal_quotient)
     c = mpc.coalg
-    block = _refine(c, range(c.n_states))
-    if len(set(block.values())) != c.n_states:
-        raise CoalgebraError("internal: minimal coalgebra with equivalent states")
-    rows, mapping = _quotient(c, sorted(block, key=block.__getitem__), block)
+    if len(set(Counter(mapping.values()).values())) != 1:
+        ids = _refine(c, range(c.n_states))
+        if len(set(ids.values())) != c.n_states:
+            raise CoalgebraError("internal: minimal coalgebra with equivalent states")
+    rows, mapping, _ = _quotient(c, sorted(range(c.n_states), key=ids.__getitem__), ids)
     return (mapping[mpc.root], rows)

@@ -33,6 +33,7 @@ sides)``, so they hash, compare, order and pickle as the tuples they are.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, permutations
@@ -95,7 +96,8 @@ class PermGroup:
     """A permutation group on ``range(arity)``: its generators and its order.
 
     ``len`` and ``is_trivial`` read the order, so neither enumerates; ``len``
-    cannot pass ``sys.maxsize`` (21! does), so the package reads ``order``.
+    raises ``OverflowError`` past ``sys.maxsize`` (21!), so the package reads
+    ``order``.
     The elements are listed on first use and kept, sorted so iteration order
     is deterministic: straight from the orbits when the group is the full
     symmetric group on each of them (``symmetric_elements``), else by
@@ -108,6 +110,8 @@ class PermGroup:
     order: int
 
     def __len__(self) -> int:
+        if self.order > sys.maxsize:
+            raise OverflowError(f"group order {self.order} exceeds sys.maxsize; read .order")
         return self.order
 
     def __iter__(self) -> Iterator[Perm]:

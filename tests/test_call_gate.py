@@ -8,12 +8,12 @@ of the same search, and nowhere else.  The ``_require_thin`` guard is
 passed in two places: ``is_thin`` and the one fold over that analysis,
 ``thinness._rank_fold``, whose kept lists answer the census, ``cb_rank``,
 ``state_ranks`` and ``extract_normal``.  ``_refine`` runs for the minimal
-quotient, for its canonical key and over the shared unfolding of two
-terms.  A new caller means a second search, fold or equality path; this
-gate names it.  Standard library only (``ast``).  A
-call is matched by the name it is made through, bare or as an attribute, and
-is charged to the innermost enclosing function (``<module>`` at the top
-level).
+quotient, for its canonical key when class sizes differ (see the lemma in
+``coalgebra.canonical_key``) and over the shared unfolding of two terms.
+A new caller means a second search, fold or equality path; this gate names
+it.  Standard library only (``ast``).  A call is matched by the name it is
+made through, bare or as an attribute, and is charged to the innermost
+enclosing function (``<module>`` at the top level).
 """
 
 import ast

@@ -1,6 +1,7 @@
 """Paths, components, and behavioural equivalence on finite coalgebras."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -625,6 +626,100 @@ def test_quotient_matches_reference_on_long_chains(sig_poly):
     )
 
 
+def _equal_class_sizes(pc):
+    # Whether every behaviour class of the reachable states has one size.
+    return len(set(Counter(_reference_minimal_quotient(pc)[1].values()).values())) == 1
+
+
+def _minimal_bases(sig):
+    # Minimal systems, every state reachable from state 0.
+    bases = {
+        minimize(PointedCoalgebra(c, root))[0].coalg
+        for c in _merging_systems(sig)
+        for root in range(c.n_states)
+    }
+    return sorted(bases, key=lambda c: (c.n_states, c.transition))
+
+
+def _covers(sig, rng):
+    # Each minimal base with its exact k-fold covers, every copy reachable
+    # from the root's copy, for k = 1, 2, 3.  Only a base whose root lies on
+    # a cycle has such covers; a few random blow-ups are tried for each.
+    for base in _minimal_bases(sig):
+        yield base, PointedCoalgebra(base, 0)
+        for k in (2, 3):
+            for _ in range(20):
+                big, pi = blow_up(rng, base, copies=k)
+                if len(reachable_states(big, pi[0])) == big.n_states:
+                    yield base, PointedCoalgebra(big, pi[0])
+                    break
+
+
+def _near_cover(pc, rng):
+    # ``pc`` with one extra copy of a successor t, which one argument of
+    # one state now points to; None unless every state stays reachable.
+    c = pc.coalg
+    p = rng.choice([s for s in range(c.n_states) if c.transition[s].args])
+    elem = c.transition[p]
+    i = rng.randrange(len(elem.args))
+    extra = c.n_states
+    args = elem.args[:i] + (extra,) + elem.args[i + 1 :]
+    trans = list(c.transition) + [c.transition[elem.args[i]]]
+    trans[p] = c.sig.canonical_tuple(elem.op, args)
+    near = PointedCoalgebra(Coalgebra(c.sig, tuple(trans)), pc.root)
+    return near if len(reachable_states(near.coalg, near.root)) == extra + 1 else None
+
+
+def _assert_key_paths(pcs, monkeypatch, even):
+    # Each key equals the reference; a fresh key refines once when class
+    # sizes are equal and twice otherwise, and the fresh quotient of ``pc``
+    # keys the same at a single refinement.
+    sizes = _refine_sizes(monkeypatch)
+    for pc in pcs:
+        assert _equal_class_sizes(pc) == even
+        want = _reference_key(pc)
+        reach = len(reachable_states(pc.coalg, pc.root))
+        fresh = PointedCoalgebra(pc.coalg, pc.root)
+        sizes.clear()
+        key = canonical_key(fresh)
+        assert key == want and hash(key) == hash(want)
+        mpc = minimize(fresh)[0]
+        assert sizes == ([reach] if even else [reach, mpc.coalg.n_states])
+        sizes.clear()
+        assert canonical_key(mpc) == key and sizes == [mpc.coalg.n_states]
+    monkeypatch.undo()
+    _assert_keys_match_colour_keys(pcs)
+
+
+@pytest.mark.parametrize("name", ["sig_bag", "sig_mixed", "sig_rotations"])
+def test_key_of_exact_covers_reads_minimize_refinement(name, request, monkeypatch):
+    sig = request.getfixturevalue(name)
+    covers = list(_covers(sig, random.Random(3571)))
+    pcs = [pc for _, pc in covers]
+    folds = Counter(pc.coalg.n_states // minimize(pc)[0].coalg.n_states for pc in pcs)
+    assert min(folds[1], folds[2], folds[3]) >= 10
+    # Every op, the enumerated C_3, C_4 and D_6 among them, is signed.
+    assert {e.op for pc in pcs for e in pc.coalg.transition} == {op.id for op in sig.ops}
+    _assert_key_paths(pcs, monkeypatch, even=True)
+    assert all(canonical_key(pc) == canonical_key(PointedCoalgebra(b, 0)) for b, pc in covers)
+
+
+@pytest.mark.parametrize("name", ["sig_bag", "sig_mixed", "sig_rotations"])
+def test_key_of_near_covers_refines_the_quotient(name, request, monkeypatch):
+    sig = request.getfixturevalue(name)
+    rng = random.Random(7577)
+    pairs = []
+    for _, pc in _covers(sig, rng):
+        q = minimize(pc)[0].coalg.n_states
+        if 1 < q and pc.coalg.n_states < 3 * q:
+            near = _near_cover(pc, rng)
+            if near is not None:
+                pairs.append((pc, near))
+    assert len(pairs) >= 20
+    _assert_key_paths([near for _, near in pairs], monkeypatch, even=False)
+    assert all(canonical_key(near) == canonical_key(pc) for pc, near in pairs)
+
+
 # -- behavioural equality and fingerprints --------------------------------
 
 
@@ -703,7 +798,8 @@ def test_beh_equal_matches_reference_warm_or_fresh_on_blow_ups(name, request):
     _assert_matches_reference_warm_or_fresh(pairs)
 
 
-def test_beh_equal_refines_the_kept_quotients(sig_mixed, monkeypatch):
+def _refine_sizes(monkeypatch):
+    # The number of states of each _refine call the package makes, in order.
     sizes = []
     refine = coalgebra._refine
 
@@ -712,34 +808,42 @@ def test_beh_equal_refines_the_kept_quotients(sig_mixed, monkeypatch):
         return refine(c, states)
 
     monkeypatch.setattr(coalgebra, "_refine", recording)
+    return sizes
+
+
+def test_beh_equal_refines_the_kept_quotients(sig_mixed, monkeypatch):
+    sizes = _refine_sizes(monkeypatch)
     rng = random.Random(17)
-    merged = 0
+    seen = {True: 0, False: 0}
     for c in _merging_systems(sig_mixed):
         big, pi = blow_up(rng, c)
         root = rng.randrange(c.n_states)
         pc1, pc2 = PointedCoalgebra(c, root), PointedCoalgebra(big, pi[root])
         reach = [len(reachable_states(pc.coalg, pc.root)) for pc in (pc1, pc2)]
-        q1, q2 = (
-            minimize(PointedCoalgebra(pc.coalg, pc.root))[0].coalg.n_states for pc in (pc1, pc2)
+        even = [_equal_class_sizes(pc) for pc in (pc1, pc2)]
+        # The key's own refinement of each side's quotient, if it needs one.
+        k1, k2 = (
+            [] if ok else [minimize(PointedCoalgebra(pc.coalg, pc.root))[0].coalg.n_states]
+            for ok, pc in zip(even, (pc1, pc2))
         )
-        # A fresh pair: each side is minimized, then its quotient is refined
-        # for its key.
+        # A fresh pair: each side is minimized, and its quotient is refined
+        # for its key only when its classes differ in size.
         sizes.clear()
         assert beh_equal(pc1, pc2)
-        assert sizes == [reach[0], q1, reach[1], q2]
-        # One side minimized: only its key is left to refine.
+        assert sizes == [reach[0], *k1, reach[1], *k2]
+        seen[all(even)] += 1
+        # One side minimized: at most its key's refinement is left.
         warm, fresh = PointedCoalgebra(c, root), PointedCoalgebra(big, pi[root])
         minimize(warm)
         sizes.clear()
         assert beh_equal(warm, fresh)
-        assert sizes == [q1, reach[1], q2]
+        assert sizes == [*k1, reach[1], *k2]
         # The keys are kept, so neither a second call nor canonical_key
         # refines again.
         sizes.clear()
         assert beh_equal(pc2, pc1) and canonical_key(pc1) == canonical_key(pc2)
         assert sizes == []
-        merged += q1 + q2 < sum(reach)
-    assert merged > 0
+    assert seen[True] > 0 and seen[False] > 0
 
 
 def test_canonical_key_fingerprints_behaviour(sig_bag):

@@ -185,6 +185,15 @@ def test_a_bag_of_order_above_sys_maxsize_builds_and_sorts():
     assert a.canonical_tuple("b", vals).args == tuple(range(21))
 
 
+def test_len_of_a_group_above_sys_maxsize_names_order():
+    # CPython's own error would be "cannot fit 'int' into an index-sized
+    # integer"; the group's names the attribute to read instead.
+    sig = SignatureSpec([OperationSymbol("b", 21, _full(21))])
+    with pytest.raises(OverflowError, match=r"group order 51090942171709440000 .*\.order"):
+        len(sig.group("b"))
+    assert len(SignatureSpec([OperationSymbol("b", 20, _full(20))]).group("b")) == math.factorial(20)
+
+
 def test_signature_rejects_bad_generator():
     with pytest.raises(SignatureError):
         SignatureSpec([OperationSymbol("a", 2, ((0, 0),))])

@@ -451,8 +451,8 @@ def test_each_consumer_searches_components_once(monkeypatch, sig_poly):
     # Normal forms come from the input's own table: nothing refines it.
     normalize(sig_poly, GNode(LassoStream((), (sig_poly.canonical_context("u", 0, ()),))))
     assert refines == []
-    # The key refines the quotient that minimize kept: the input once, the
-    # quotient once.
+    # The classes {0, 2}, {1} and {3} differ in size, so the key refines
+    # the quotient that minimize kept: the input once, the quotient once.
     mpc, _ = minimize(pc)
     canonical_key(pc)
     minimize(pc)
