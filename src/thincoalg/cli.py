@@ -50,6 +50,9 @@ from .thinness import is_thin, oracle_is_thin
 from .treeenc import cb_rank, enc
 
 ORACLE_STATE_LIMIT = 12
+# The largest term size bound ``normalize --oracle`` enumerates: the pool
+# grows about 5.5x per size, and bound 8 over c/u/b takes about 1.5 s.
+ORACLE_BOUND_LIMIT = 8
 
 
 def _input_entry(path: str) -> dict:
@@ -169,6 +172,8 @@ def cmd_normalize(args) -> int:
     human = [json.dumps(doc, sort_keys=True), f"rank: ({r.major},{r.minor})"]
     if args.oracle:
         bound = args.bound if args.bound is not None else max(term_size(t), term_size(nf)) + 1
+        if bound > ORACLE_BOUND_LIMIT:
+            raise TermError(f"--oracle is limited to size bound {ORACLE_BOUND_LIMIT}, got {bound}")
         agrees = brute_force_normal(sig, t, bound) == nf
         result["oracle_agrees"] = agrees
         human.append(f"oracle agrees: {'yes' if agrees else 'NO'}")

@@ -27,7 +27,7 @@ from threading import Lock
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CoalgebraError
-from .signature import FElem, SignatureSpec, _orbit_min
+from .signature import FElem, SignatureSpec
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class Coalgebra:
         records = self.sig._records
         for s, elem in enumerate(self.transition):
             record = records.get(elem.op) or self.sig._record(elem.op)
-            if len(elem.args) != record[0]:
+            if len(elem.args) != record.arity:
                 raise CoalgebraError(
                     f"state {s}: tuple length {len(elem.args)} does not match "
                     f"arity of {elem.op!r}"
@@ -383,8 +383,9 @@ def _refine(c: Coalgebra, states: Sequence[int]) -> dict[int, int]:
     The largest part keeps the block id, every other part gets a fresh one,
     and the predecessors of the states that got a fresh id are the next
     round's dirty states.  A key is the op and the orbit minimum of the
-    successors' block ids, straight from ``signature._orbit_min``: elements
-    were checked at construction, so signing builds and checks none.
+    successors' block ids, straight from the op's canonicalizer (the
+    ``SignatureSpec`` docstring says which): elements were checked at
+    construction, so signing builds and checks none.
 
     Invariant: the untouched members of a block share one key, since none of
     their successors changed id since they were last signed together.  A
@@ -399,7 +400,7 @@ def _refine(c: Coalgebra, states: Sequence[int]) -> dict[int, int]:
     last, and the largest part keeps the id, ties to the rest, then to the
     least key.
     """
-    records = c.sig._records
+    canon = {op: record.canon for op, record in c.sig._records.items()}
     tr = c.transition
     block = [0] * c.n_states
     lookup = block.__getitem__
@@ -438,7 +439,7 @@ def _refine(c: Coalgebra, states: Sequence[int]) -> dict[int, int]:
         touched = {}
         for s in dict.fromkeys(u for t in moved for u in preds[t]):
             e = tr[s]
-            key = (e.op, _orbit_min(records[e.op], tuple(map(lookup, e.args))))
+            key = (e.op, canon[e.op](tuple(map(lookup, e.args))))
             touched.setdefault(block[s], {}).setdefault(key, set()).add(s)
     return {s: block[s] for s in states}
 

@@ -11,20 +11,14 @@ The group acts on a tuple by moving the entry at position ``k`` to position
 ``sigma[k]``.  Contexts carry the restricted action: the hole moves with the
 permutation and the remaining entries follow.
 
-Canonical representatives are lexicographic minima over the group, and one
-routine, ``_orbit_min``, finds them all: for canonical tuples, for contexts
-(with the hole filled by ``_HOLE``, a marker that sorts below every value, so
-the hole goes to the first position it can reach) and for refinement keys.
-A rigid op's tuple is its own minimum.  When the group is the full symmetric
-group on each orbit of positions (bags, and products of those), the values
-inside each orbit are sorted, by a gather and scatter planned once per op;
-any other group (a rotation of three or more positions, a dihedral group,
-...) takes the least image under its elements.
-Which of the two applies is read off the group's order, which a stabilizer
-chain gives without listing the group, so rigid ops and bags of any arity
-are built without enumerating their groups.  Any other group is enumerated
-when the signature is built, so its order is bounded by 8! (every group on
-at most 8 positions passes; see ``_ENUMERATION_BOUND``).  Argument values
+Canonical representatives are lexicographic minima over the group.  Each op
+has one canonicalizer, chosen when the signature is built and kept in its
+``OpRecord``; the ``SignatureSpec`` docstring says how it is chosen.  It
+serves canonical tuples, contexts (with the hole filled by ``_HOLE``, a
+marker that sorts below every value, so the hole goes to the first position
+it can reach) and refinement keys.  Only a group that is no product of
+symmetric groups is enumerated, and its order is bounded by 8! (every group
+on at most 8 positions passes; see ``_ENUMERATION_BOUND``).  Argument values
 must be totally ordered (ints, strings, terms, nested elements).
 
 Elements and contexts are named tuples ``(op, args)`` and ``(op, hole,
@@ -35,7 +29,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, permutations
 from math import factorial, prod
 from operator import itemgetter
@@ -334,75 +328,81 @@ class _Hole:
 _HOLE = _Hole()
 
 
-def _orbit_min(record: tuple, vals: tuple) -> tuple:
-    """The least member of the orbit of ``vals`` under the group of the op
-    whose ``(arity, plan, getters)`` record is given: ``vals`` itself for a
-    rigid op, its least image under ``getters`` for an enumerated group, or,
-    for a group symmetric on each orbit, ``vals`` sorted inside each orbit.
+def _sorted_tuple(vals: tuple) -> tuple:
+    return tuple(sorted(vals))
 
-    The plan (see ``_sort_plan``) gathers each orbit's values and sorts
-    them, then appends the fixed positions' values, so the list holds the
-    values in layout order; one scatter puts them back in position order.
-    When one orbit holds every position, the whole tuple is sorted.
-    """
-    _, plan, getters = record
-    if plan is not None:
-        gathers, fixed, scatter = plan
-        if scatter is None:
-            return tuple(sorted(vals))
-        out = []
-        for gather in gathers:
-            out += sorted(gather(vals))
-        if fixed is not None:
-            out += fixed(vals)
-        return scatter(out)
-    if getters is not None:
-        return min([act(vals) for act in getters])
-    return vals
+
+def _sort_orbits(fixed: Callable, gathers: tuple, scatter: Callable, vals: tuple) -> tuple:
+    # The fixed positions' values, then each orbit's values sorted: layout
+    # order, which the scatter puts back into position order.
+    out = list(fixed(vals))
+    for gather in gathers:
+        out += sorted(gather(vals))
+    return scatter(out)
+
+
+def _least_image(getters: tuple, vals: tuple) -> tuple:
+    return min([act(vals) for act in getters])
 
 
 def _gather(positions: tuple[int, ...]) -> Callable[[tuple], tuple]:
-    # A slice for a run of consecutive positions, else one index per
-    # position: either way the values come back as a tuple.
-    first = positions[0]
+    # A slice for a run of consecutive positions (none at all included),
+    # else one index per position: either way the values come back as a tuple.
+    first = positions[0] if positions else 0
     if positions == tuple(range(first, first + len(positions))):
         return itemgetter(slice(first, first + len(positions)))
     return itemgetter(*positions)
 
 
-def _sort_plan(arity: int, orbits: Sequence[tuple[int, ...]]) -> tuple:
-    """``_orbit_min``'s plan for the group symmetric on each of the disjoint
-    position tuples ``orbits``, each of two or more positions.
-
-    The plan is one gather per orbit, one for the fixed positions (``None``
-    when there are none), and the scatter from layout order (the orbits,
-    then the fixed positions) back to position order: ``tuple`` when the
-    two orders agree, and ``None`` when one orbit holds every position, so
-    the whole tuple is sorted.
-    """
+def _canonicalizer(arity: int, group: PermGroup, orbits) -> Callable[[tuple], tuple]:
+    """The op's ``canon``; ``SignatureSpec`` says which one is chosen."""
+    if orbits is None:
+        # Such a group is no product of symmetric groups, so its arity is
+        # at least 3 and every getter returns a tuple.
+        return partial(_least_image, tuple(itemgetter(*invert_perm(g)) for g in group))
+    if not orbits:
+        return tuple
     fixed = tuple(k for k in range(arity) if all(k not in orb for orb in orbits))
-    if len(orbits) == 1 and not fixed:
-        return (), None, None
-    layout = tuple(chain.from_iterable(orbits)) + fixed
+    if not fixed and len(orbits) == 1:
+        return _sorted_tuple
+    layout = fixed + tuple(chain.from_iterable(orbits))
     scatter = tuple if layout == identity_perm(arity) else itemgetter(*invert_perm(layout))
-    return tuple(map(_gather, orbits)), _gather(fixed) if fixed else None, scatter
+    return partial(_sort_orbits, _gather(fixed), tuple(map(_gather, orbits)), scatter)
+
+
+class OpRecord(NamedTuple):
+    """What the signature keeps per op: the arity, the symbol, the group and
+    the canonicalizer, which maps a tuple of ``arity`` values to the least
+    member of its orbit."""
+
+    arity: int
+    op: OperationSymbol
+    group: PermGroup
+    canon: Callable[[tuple], tuple]
 
 
 class SignatureSpec:
-    """A validated signature; each group is ordered and classified once.
+    """A validated signature: one ``OpRecord`` per op, built once.
 
     At build time every operation's generators are checked, the order of
     its group comes from ``stabilizer_chain`` and its position orbits from
-    the generators.  The op's record ``(arity, plan, getters)`` holds its
-    arity and what ``_orbit_min`` needs: both ``None`` for a trivial group;
-    for a group symmetric on each orbit, a plan from ``_sort_plan`` (an
-    ``itemgetter`` per orbit and one for the fixed positions, to gather,
-    then one to scatter back), built once per op; or else one precomputed
-    ``itemgetter`` per group element, acting as ``apply_perm``.  Only that
-    last kind of group is enumerated; the others list their elements only
-    if ``PermGroup.elements`` is read.  Canonical tuples, canonical contexts
-    (the hole as ``_HOLE``), loaded rows and refinement keys all go through
-    that one routine.
+    the generators.  The order then chooses the op's canonicalizer
+    ``canon``, once:
+
+    * a trivial group: ``tuple``, which returns its input tuple itself;
+    * the full symmetric group on every position: a whole-tuple sort;
+    * the full symmetric group on each orbit (bags, and products of those):
+      a gather of the fixed positions' values and of each orbit's values,
+      each orbit's sorted, then one scatter back into position order;
+    * any other group: the least image under one ``itemgetter`` per group
+      element, each acting as ``apply_perm``.
+
+    Only that last kind of group is enumerated; the others list their
+    elements only if ``PermGroup.elements`` is read.  Canonicalizers are
+    built from module-level functions (``functools.partial``, not
+    closures), so a signature pickles.  Canonical tuples, canonical
+    contexts (the hole as ``_HOLE``), loaded rows and refinement keys all
+    call ``canon``.
 
     Raises ``SignatureError`` on duplicate ids, arities that are not
     nonnegative ints, bad permutations, or a group to be enumerated whose
@@ -417,44 +417,35 @@ class SignatureSpec:
 
     def __init__(self, ops: Iterable[OperationSymbol]):
         self.ops: tuple[OperationSymbol, ...] = tuple(ops)
-        self._by_id: dict[str, OperationSymbol] = {}
-        self._groups: dict[str, PermGroup] = {}
-        # (arity, sort plan or None, group getters or None) per op id.
-        self._records: dict[str, tuple] = {}
+        self._records: dict[str, OpRecord] = {}
         if not self.ops:
             raise SignatureError("signature needs at least one operation")
         eq_key = []
         for op in self.ops:
-            if op.id in self._by_id:
+            if op.id in self._records:
                 raise SignatureError(f"duplicate operation id {op.id!r}")
             if type(op.arity) is not int:
                 raise SignatureError(f"arity of {op.id!r} must be an integer, got {op.arity!r}")
             if op.arity < 0:
                 raise SignatureError(f"negative arity for {op.id!r}")
-            self._by_id[op.id] = op
             gens = tuple(check_perm(g, op.arity) for g in op.generators)
             group = PermGroup(op.arity, gens, stabilizer_chain(gens, op.arity)[2])
-            self._groups[op.id] = group
             orbits = sortable_orbits(gens, group)
-            getters = None
             if orbits is None:
-                # Such a group is no product of symmetric groups, so its
-                # arity is at least 3 and every getter returns a tuple.
                 if group.order > _ENUMERATION_BOUND:
                     raise SignatureError(
                         f"group of {op.id!r} would be enumerated, and its order "
                         f"{group.order} is above {_ENUMERATION_BOUND}"
                     )
-                getters = tuple(itemgetter(*invert_perm(g)) for g in group)
                 eq_key.append((op.id, op.arity, ("enum", group.elements)))
             else:
                 eq_key.append((op.id, op.arity, ("sym", orbits)))
-            plan = _sort_plan(op.arity, orbits) if orbits else None
-            self._records[op.id] = (op.arity, plan, getters)
+            canon = _canonicalizer(op.arity, group, orbits)
+            self._records[op.id] = OpRecord(op.arity, op, group, canon)
         self._eq_key = tuple(eq_key)
         # Equal groups have equal orders, so this hash agrees with ==
         # without hashing every element.
-        self._hash = hash(tuple((o.id, o.arity, self._groups[o.id].order) for o in self.ops))
+        self._hash = hash(tuple((r.op.id, r.arity, r.group.order) for r in self._records.values()))
 
     def __repr__(self) -> str:
         names = ", ".join(f"{o.id}/{o.arity}" for o in self.ops)
@@ -471,24 +462,22 @@ class SignatureSpec:
         return self._hash
 
     def op(self, op_id: str) -> OperationSymbol:
-        self._record(op_id)
-        return self._by_id[op_id]
+        return self._record(op_id).op
 
     def arity(self, op_id: str) -> int:
-        return self.op(op_id).arity
+        return self._record(op_id).arity
 
     def group(self, op_id: str) -> PermGroup:
-        self.op(op_id)
-        return self._groups[op_id]
+        return self._record(op_id).group
 
     @property
     def is_polynomial(self) -> bool:
         """True when every group is trivial, so positions are rigid."""
-        return all(g.is_trivial for g in self._groups.values())
+        return all(r.group.is_trivial for r in self._records.values())
 
     # -- canonical construction ------------------------------------------
 
-    def _record(self, op_id: str) -> tuple:
+    def _record(self, op_id: str) -> OpRecord:
         # Hot callers try ``self._records.get`` first and come here on a miss.
         try:
             return self._records[op_id]
@@ -499,13 +488,11 @@ class SignatureSpec:
         """The orbit-minimal element with the given arguments."""
         record = self._records.get(op_id) or self._record(op_id)
         vals = tuple(values)
-        if len(vals) != record[0]:
+        if len(vals) != record.arity:
             raise SignatureError(
-                f"{op_id!r} expects {record[0]} arguments, got {len(vals)}"
+                f"{op_id!r} expects {record.arity} arguments, got {len(vals)}"
             )
-        if record[1] is None and record[2] is None:
-            return FElem(op_id, vals)
-        return FElem(op_id, _orbit_min(record, vals))
+        return FElem(op_id, record.canon(vals))
 
     def canonical_context(self, op_id: str, hole: int, sides: Sequence) -> ContextElem:
         """The orbit-minimal context with the hole at ``hole``.
@@ -514,8 +501,7 @@ class SignatureSpec:
         sorts below every value, so the canonical hole position is the first
         position it can reach under the group.
         """
-        record = self._record(op_id)
-        arity = record[0]
+        arity, _, _, canon = self._record(op_id)
         if arity == 0:
             raise SignatureError(f"{op_id!r} has arity 0 and admits no context")
         if not 0 <= hole < arity:
@@ -525,7 +511,7 @@ class SignatureSpec:
             raise SignatureError(
                 f"context over {op_id!r} expects {arity - 1} sides, got {len(s)}"
             )
-        full = _orbit_min(record, s[:hole] + (_HOLE,) + s[hole:])
+        full = canon(s[:hole] + (_HOLE,) + s[hole:])
         h = full.index(_HOLE)
         return ContextElem(op_id, h, full[:h] + full[h + 1 :])
 
@@ -549,8 +535,4 @@ class SignatureSpec:
 
     def map_elem(self, elem: FElem, f: Callable) -> FElem:
         """Apply ``f`` to every argument and re-canonicalize."""
-        return self.canonical_tuple(elem.op, tuple(map(f, elem.args)))
-
-    def map_ctx(self, ctx: ContextElem, f: Callable) -> ContextElem:
-        """Apply ``f`` to every side value and re-canonicalize."""
-        return self.canonical_context(ctx.op, ctx.hole, tuple(f(x) for x in ctx.sides))
+        return FElem(elem.op, self._record(elem.op).canon(tuple(map(f, elem.args))))

@@ -4,8 +4,9 @@
 ``sig_bag`` its unordered-pair variant, ``sig_server`` the mixed signature
 with a three-successor operation whose last two positions commute, and
 ``sig_mixed`` one operation per kind of symmetry up to arity 4,
-``sig_rotations`` two groups that are no product of symmetric groups, and
-``sig_c3`` a rotation of three positions beside a unary op.  The builders
+``sig_rotations`` two groups that are no product of symmetric groups,
+``sig_c3`` a rotation of three positions beside a unary op, and ``sig_wide``
+the benchmark's D_6 beside S_3 x S_3.  The builders
 below the fixtures (``build``, ``relabel``, ``blow_up``, ``ladder_tree``),
 the references ``_reference_beh_equal`` (with its ``disjoint_union``),
 ``_reference_census``, ``_reference_cb_rank`` and ``_reference_rank_table``,
@@ -91,6 +92,22 @@ def sig_rotations():
 def sig_c3():
     return SignatureSpec(
         [OperationSymbol("z", 0), OperationSymbol("u", 1), OperationSymbol("c3", 3, ((1, 2, 0),))]
+    )
+
+
+@pytest.fixture(scope="session")
+def sig_wide():
+    # The benchmark's non-product D_6 next to the product S_3 x S_3.
+    return SignatureSpec(
+        [
+            OperationSymbol("z", 0),
+            OperationSymbol("d6", 6, ((1, 2, 3, 4, 5, 0), (0, 5, 4, 3, 2, 1))),
+            OperationSymbol(
+                "s3s3",
+                6,
+                ((1, 0, 2, 3, 4, 5), (1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 3, 5), (0, 1, 2, 4, 5, 3)),
+            ),
+        ]
     )
 
 

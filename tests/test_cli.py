@@ -289,6 +289,24 @@ def test_normalize_folds_and_writes(files, tmp_path):
     assert json.loads(out.read_text()) == dump_term(files["uomega_term"])
 
 
+def test_normalize_oracle_is_limited(files, tmp_path, sig_poly):
+    sig = str(files["poly_sig"])
+    over = str(cli.ORACLE_BOUND_LIMIT + 1)
+    proc = run("normalize", str(files["ustep"]), "--sig", sig, "--oracle", "--bound", over)
+    assert proc.returncode == 2
+    assert "limited" in proc.stderr
+    # A bound derived from the term's size is limited as well.
+    t = FNode(sig_poly.canonical_tuple("c", ()))
+    for _ in range(cli.ORACLE_BOUND_LIMIT):
+        t = FNode(sig_poly.canonical_tuple("u", (t,)))
+    big = tmp_path / "big.term.json"
+    dump_json(big, dump_term(t))
+    proc = run("normalize", str(big), "--sig", sig, "--oracle")
+    assert proc.returncode == 2
+    assert "limited" in proc.stderr
+    assert run("normalize", str(big), "--sig", sig).returncode == 0
+
+
 def test_normalize_report(files):
     proc = run("normalize", str(files["ustep"]), "--sig", str(files["poly_sig"]), "--json")
     report = _report_of(proc)

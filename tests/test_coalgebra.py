@@ -37,7 +37,6 @@ from thincoalg.coalgebra import (
     reachable_states,
     validate_path,
 )
-from thincoalg.signature import _orbit_min
 from thincoalg.thinness import oracle_is_thin
 
 
@@ -357,7 +356,7 @@ def _refine_by_rounds(c, states):
         nblocks = len(distinct)
 
 
-def _refine_signing_all(c, states, orbit_min=_orbit_min):
+def _refine_signing_all(c, states):
     # Reference: the same worklist refinement, except that the first round
     # signs every state, (op, orbit minimum of all-zero ids), where
     # ``_refine`` groups by op.  Block dicts must come out identical.
@@ -376,7 +375,7 @@ def _refine_signing_all(c, states, orbit_min=_orbit_min):
         touched = {}
         for s in dirty:
             e = tr[s]
-            key = (e.op, orbit_min(records[e.op], tuple(map(lookup, e.args))))
+            key = (e.op, records[e.op].canon(tuple(map(lookup, e.args))))
             touched.setdefault(block[s], {}).setdefault(key, set()).add(s)
         moved = []
         for b, by_key in sorted(touched.items()):
@@ -453,22 +452,6 @@ def test_refine_matches_rounds_exhaustively(name, request):
             _assert_refines_like_reference(c)
 
 
-@pytest.fixture(scope="module")
-def sig_wide():
-    # The benchmark's non-product D_6 next to the product S_3 x S_3.
-    return SignatureSpec(
-        [
-            OperationSymbol("z", 0),
-            OperationSymbol("d6", 6, ((1, 2, 3, 4, 5, 0), (0, 5, 4, 3, 2, 1))),
-            OperationSymbol(
-                "s3s3",
-                6,
-                ((1, 0, 2, 3, 4, 5), (1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 3, 5), (0, 1, 2, 4, 5, 3)),
-            ),
-        ]
-    )
-
-
 def _merging_systems(sig):
     rng = random.Random(6143)
     for _ in range(150):
@@ -521,23 +504,26 @@ def test_refine_follows_long_chains(sig_poly):
 def test_refine_starts_from_the_partition_by_op(sig_mixed, sig_wide, monkeypatch):
     # The first round signs no state; every later round signs what the
     # reference signs, so the reference signs exactly len(states) more.
-    signed = {"got": 0, "ref": 0}
+    # Each op's canonicalizer is wrapped to count the signings.
+    signed = [0]
 
-    def counting(side):
-        def count(*args):
-            signed[side] += 1
-            return _orbit_min(*args)
+    def counting(canon):
+        def count(vals):
+            signed[0] += 1
+            return canon(vals)
 
         return count
 
-    monkeypatch.setattr(coalgebra, "_orbit_min", counting("got"))
     for sig in (sig_mixed, sig_wide):
+        for op_id, record in sig._records.items():
+            monkeypatch.setitem(sig._records, op_id, record._replace(canon=counting(record.canon)))
         for c in _merging_systems(sig):
             states = list(range(c.n_states))
-            signed.update(got=0, ref=0)
+            signed[0] = 0
             got = _refine(c, states)
-            assert got == _refine_signing_all(c, states, counting("ref"))
-            assert signed["ref"] == signed["got"] + len(states)
+            got_signed, signed[0] = signed[0], 0
+            assert got == _refine_signing_all(c, states)
+            assert signed[0] == got_signed + len(states)
 
 
 # -- the quotient builder against the builders it replaced ---------------
@@ -579,7 +565,7 @@ def _reference_key(pc):
     rows = [None] * c.n_states
     for s, elem in enumerate(c.transition):
         args = tuple(map(block.__getitem__, elem.args))
-        rows[block[s]] = (elem.op, _orbit_min(c.sig._records[elem.op], args))
+        rows[block[s]] = (elem.op, c.sig._records[elem.op].canon(args))
     return (block[mpc.root], tuple(rows))
 
 

@@ -314,7 +314,9 @@ def _reference_extract_normal(pc):
                     step = min(
                         cands,
                         key=lambda p: (
-                            sig.map_ctx(p[0], memo.__getitem__),
+                            sig.canonical_context(
+                                p[0].op, p[0].hole, tuple(map(memo.__getitem__, p[0].sides))
+                            ),
                             memo[p[1]],
                         ),
                     )
@@ -334,7 +336,10 @@ def _reference_extract_normal(pc):
         if table[s].kind == "f":
             return FNode(sig.map_elem(c.transition[s], memo.__getitem__))
         steps, _, _, cut = walks.pop(s)
-        ctxs = tuple(sig.map_ctx(ctx, memo.__getitem__) for ctx in steps)
+        ctxs = tuple(
+            sig.canonical_context(ctx.op, ctx.hole, tuple(map(memo.__getitem__, ctx.sides)))
+            for ctx in steps
+        )
         return GNode(LassoStream(ctxs[:cut], ctxs[cut:]))
 
     stack = [mpc.root]

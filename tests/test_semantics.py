@@ -87,7 +87,8 @@ def _reference_unfold(sig, t):
         if isinstance(u, FNode):
             transitions.append(sig.map_elem(u.elem, state_of))
         else:
-            head = sig.map_ctx(u.stream.head(), state_of)
+            ctx = u.stream.head()
+            head = sig.canonical_context(ctx.op, ctx.hole, tuple(map(state_of, ctx.sides)))
             transitions.append(sig.plug(head, state_of(GNode(u.stream.tail()))))
     return Coalgebra(sig, tuple(transitions)), index
 

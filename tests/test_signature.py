@@ -28,7 +28,6 @@ from thincoalg.generate import rand_term
 from thincoalg.normalform import enumerate_terms
 from thincoalg.signature import (
     _HOLE,
-    _orbit_min,
     apply_perm,
     check_perm,
     compose_perms,
@@ -225,9 +224,10 @@ def test_signature_equality_key_and_hash_are_built_with_the_signature():
     b = SignatureSpec([OperationSymbol("z", 0), OperationSymbol("s", 8, s8[::-1])])
     c = SignatureSpec([OperationSymbol("z", 0), OperationSymbol("s", 8, s8[:1])])
     want = hash(a)
-    # Neither == nor hash reads the groups again once the signature is built.
+    # Neither == nor hash reads the op records (and their groups) again once
+    # the signature is built.
     for sig in (a, b, c):
-        sig._groups = None
+        sig._records = None
     assert a == a and a == b and b == a and a != c
     assert hash(a) == hash(b) == want
     # Same object: equal at once, without looking at the key.
@@ -526,12 +526,14 @@ def test_s8_canonical_forms_match_enumeration():
 # Sortable groups whose orbits are not contiguous or leave fixed positions:
 # S_2 on {0, 2}, S_2 x S_2 on {0, 1} and {3, 4}, and S_3 x S_3 on the
 # interleaved orbits {0, 2, 4} and {1, 3, 5}; then S_2 x S_2 on {0, 1} and
-# {2, 3}, whose layout is already in position order.
+# {2, 3}, and S_2 on {1, 2} beside the fixed 0, whose layouts (fixed
+# positions first) are already in position order.
 PLANNED_GROUPS = (
     (4, ((2, 1, 0, 3),)),
     (5, ((1, 0, 2, 3, 4), (0, 1, 2, 4, 3))),
     (6, ((2, 1, 0, 3, 4, 5), (2, 1, 4, 3, 0, 5), (0, 3, 2, 1, 4, 5), (0, 3, 2, 5, 4, 1))),
     (4, ((1, 0, 2, 3), (0, 1, 3, 2))),
+    (3, ((0, 2, 1),)),
 )
 
 
@@ -540,25 +542,50 @@ def test_planned_orbit_min_is_the_least_image():
     cases = PLANNED_GROUPS + tuple((n, _full(n)) for n in range(2, 9))
     shapes = set()
     for arity, gens in cases:
-        record = SignatureSpec([OperationSymbol("o", arity, gens)])._records["o"]
-        _, plan, getters = record
-        assert plan is not None and getters is None
-        _, fixed, scatter = plan
-        shapes.add((fixed is None, scatter is None, scatter is tuple))
+        canon = SignatureSpec([OperationSymbol("o", arity, gens)])._records["o"].canon
+        if canon is signature._sorted_tuple:
+            shapes.add("sort")
+        else:
+            assert canon.func is signature._sort_orbits
+            fixed, _, scatter = canon.args
+            shapes.add((fixed(tuple(range(arity))) == (), scatter is tuple))
         group = enumerate_group(gens, arity)
         samples = [tuple(rng.randrange(3) for _ in range(arity)) for _ in range(4)]
         samples.append(tuple(range(arity, 0, -1)))
         # Contexts: the hole marker at every position.
         samples += [v[:h] + (_HOLE,) + v[h + 1 :] for v in samples[-2:] for h in range(arity)]
         for vals in samples:
-            assert _orbit_min(record, vals) == reference_tuple(group, vals)
-    # Fixed positions or none; a scatter, the identity layout, a whole sort.
-    assert shapes == {
-        (False, False, False),
-        (True, False, False),
-        (True, False, True),
-        (True, True, False),
-    }
+            assert canon(vals) == reference_tuple(group, vals)
+    # Fixed positions or none; a scatter or the identity layout; a whole sort.
+    assert shapes == {(False, False), (True, False), (True, True), (False, True), "sort"}
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["sig_poly", "sig_bag", "sig_server", "sig_mixed", "sig_rotations", "sig_c3", "sig_wide"],
+)
+def test_every_fixture_canonicalizer_is_the_enumeration_minimum(name, request):
+    sig = request.getfixturevalue(name)
+    back = pickle.loads(pickle.dumps(sig))
+    assert back == sig
+    rng = random.Random(name)
+    for op in sig.ops:
+        canon = sig._records[op.id].canon
+        elements = enumerate_group(op.generators, op.arity).elements
+        samples = [tuple(rng.randrange(3) for _ in range(op.arity)) for _ in range(30)]
+        samples += [v[:h] + (_HOLE,) + v[h + 1 :] for v in samples[:10] for h in range(op.arity)]
+        for vals in samples:
+            got = canon(vals)
+            assert got == min(apply_perm(g, vals) for g in elements)
+            if len(elements) == 1:
+                assert got is vals
+            assert back._records[op.id].canon(vals) == got
+        for vals in samples[:10]:
+            assert back.canonical_tuple(op.id, vals) == sig.canonical_tuple(op.id, vals)
+            for h in range(op.arity):
+                sides = vals[:h] + vals[h + 1 :]
+                want = sig.canonical_context(op.id, h, sides)
+                assert back.canonical_context(op.id, h, sides) == want
 
 
 # -- native value order against the old sort keys ------------------------
@@ -630,14 +657,14 @@ def test_native_order_is_the_old_key_order(name, value_pools, sig_mixed, sig_rot
             assert (x < y, y < x) == (kx < ky, ky < kx)
     for sig in (sig_mixed, sig_rotations):
         for op in sig.ops:
-            group, record = sig.group(op.id), sig._records[op.id]
+            group, canon = sig.group(op.id), sig._records[op.id].canon
             orbits = sortable_orbits(group.generators, group)
             for _ in range(20):
                 vals = tuple(rng.choices(pool, k=op.arity))
                 images = [apply_perm(g, vals) for g in group]
                 least = min(images, key=old_tuple_key)
                 assert min(images) == least
-                assert _orbit_min(record, vals) == least
+                assert canon(vals) == least
                 if orbits is not None:
                     for orb in orbits:
                         here = [vals[k] for k in orb]
@@ -832,13 +859,6 @@ def test_map_elem_recanonicalizes(sig_bag):
     elem = sig_bag.canonical_tuple("b2", (2, 7))
     flipped = sig_bag.map_elem(elem, lambda x: 10 - x)
     assert flipped.args == (3, 8)
-
-
-def test_map_ctx_recanonicalizes(sig_server):
-    ctx = sig_server.canonical_context("spawn", 0, (4, 9))
-    flipped = sig_server.map_ctx(ctx, lambda x: 10 - x)
-    assert flipped.sides == (1, 6)
-    assert flipped.hole == 0
 
 
 def test_arity_and_group_accessors(sig_server):
