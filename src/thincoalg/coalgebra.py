@@ -23,6 +23,8 @@ from array import array
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import pairwise
+from operator import attrgetter
 from threading import Lock
 from typing import Iterable, Iterator, Sequence
 
@@ -30,43 +32,88 @@ from .errors import CoalgebraError
 from .signature import FElem, SignatureSpec
 
 
-@dataclass(frozen=True)
 class Coalgebra:
     """One element per state, its arguments the successor states.
 
+    Stored as ``SignatureSpec._pack_rows`` builds it: state ``s`` has op
+    ``sig.ops[ops[s]]`` and successors ``flat[offs[s]:offs[s + 1]]``.  The
+    attributes are read-only and no code changes the arrays.  ``transition``,
+    the tuple of ``FElem``s, is built on first use and kept; the package
+    reads only the arrays.
+
     Precondition: every tuple is the orbit minimum, as
     ``SignatureSpec.canonical_tuple`` builds it.  The constructor checks
-    each element's op, arity and successor range, but not this.  Equality
-    and the round trip through ``dump_coalgebra`` and ``load_coalgebra``
-    hold for canonical elements only: the loader canonicalizes each row,
-    and an uncanonical tuple compares unequal to its orbit minimum.
+    each element's op, arity and successors (``int``s in range), but not
+    this, and stores the tuples as given.  Equality and the round trip
+    through ``dump_coalgebra`` and ``load_coalgebra`` hold for canonical
+    elements only: the loader canonicalizes each row, and an uncanonical
+    tuple compares unequal to its orbit minimum.
     """
 
-    sig: SignatureSpec
-    transition: tuple[FElem, ...]
+    __slots__ = ("_sig", "_ops", "_offs", "_flat", "_transition")
+    sig = property(attrgetter("_sig"))
+    ops = property(attrgetter("_ops"))
+    offs = property(attrgetter("_offs"))
+    flat = property(attrgetter("_flat"))
 
-    def __post_init__(self):
-        n = len(self.transition)
-        records = self.sig._records
-        for s, elem in enumerate(self.transition):
-            record = records.get(elem.op) or self.sig._record(elem.op)
-            if len(elem.args) != record.arity:
+    def __init__(self, sig: SignatureSpec, transition: Sequence[FElem]):
+        n = len(transition)
+        packed = sig._pack_rows(((e.op, e.args) for e in transition), n, canonical=False)
+        # Refused: scan for the first bad state, to name it.
+        for s, elem in enumerate(transition if packed is None else ()):
+            if len(elem.args) != sig.arity(elem.op):
                 raise CoalgebraError(
                     f"state {s}: tuple length {len(elem.args)} does not match "
                     f"arity of {elem.op!r}"
                 )
             for t in elem.args:
-                if not isinstance(t, int) or not 0 <= t < n:
+                if type(t) is not int or not 0 <= t < n:
                     raise CoalgebraError(f"state {s}: successor {t!r} out of range")
+        self._sig, (self._ops, self._offs, self._flat) = sig, packed
+
+    @classmethod
+    def _stored(cls, sig: SignatureSpec, packed) -> "Coalgebra":
+        # What ``_pack_rows`` built, unchecked: for rows the package built
+        # (``None`` is a bug there) and for unpickling.
+        if packed is None:
+            raise CoalgebraError("internal: a row the package built is malformed")
+        c = object.__new__(cls)
+        c._sig, (c._ops, c._offs, c._flat) = sig, packed
+        return c
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sig == other.sig and self.ops == other.ops and self.flat == other.flat
+
+    def __hash__(self) -> int:
+        return hash((self.sig, self.ops.tobytes(), self.flat.tobytes()))
+
+    def __repr__(self) -> str:
+        elems = self.sig._unpack_rows(self.ops, self.offs, self.flat)
+        return f"Coalgebra(sig={self.sig!r}, transition={elems!r})"
+
+    def __reduce__(self):
+        return Coalgebra._stored, (self.sig, (self.ops, self.offs, self.flat))
+
+    @property
+    def transition(self) -> tuple[FElem, ...]:
+        if not hasattr(self, "_transition"):
+            self._transition = self.sig._unpack_rows(self.ops, self.offs, self.flat)
+        return self._transition
 
     @property
     def n_states(self) -> int:
-        return len(self.transition)
+        return len(self.ops)
+
+    def _row(self, state: int) -> array:
+        """The successors of ``state``, in tuple order."""
+        return self.flat[self.offs[state] : self.offs[state + 1]]
 
     def successors(self, state: int) -> list[tuple[int, int]]:
         """Successor pairs (state, multiplicity index), sorted."""
         counts: dict[int, int] = {}
-        for t in self.transition[state].args:
+        for t in self._row(state):
             counts[t] = counts.get(t, 0) + 1
         return [(t, k) for t in sorted(counts) for k in range(counts[t])]
 
@@ -127,11 +174,11 @@ _pauses = [0, False]  # open scopes; whether the first one found the collector o
 
 @contextmanager
 def _collector_paused():
-    """Pause the cyclic garbage collector for one bulk build or analysis.
+    """Pause the cyclic garbage collector for one bulk build.
 
-    A full collection walks every tracked object, and the file loaders,
-    ``dump_coalgebra`` and the thinness analysis and witness make hundreds of
-    thousands (``FElem`` tuples are never untracked).  Safe: they make only
+    A full collection walks every tracked object, and the file loaders (the
+    parsed JSON; term nodes), ``dump_coalgebra`` (its rows) and the witness
+    (its reverse lists) make hundreds of thousands.  Safe: they make only
     acyclic containers, and cyclic garbage is collected after the pause.  The
     first scope to open, in any thread, disables the collector; the last to
     close re-enables it if the first found it enabled.  Caveats: the switch is
@@ -195,22 +242,21 @@ def validate_path(c: Coalgebra, path: FinitePath) -> None:
             raise CoalgebraError(f"path state {s} out of range")
     for j in range(path.length):
         s, t, k = path.states[j], path.states[j + 1], path.indices[j]
-        mult = sum(1 for x in c.transition[s].args if x == t)
+        mult = c._row(s).count(t)
         if not (0 <= k < mult):
             raise CoalgebraError(f"step {j}: ({t},{k}) is not a successor of {s}")
 
 
 def reachable_states(c: Coalgebra, root: int) -> list[int]:
     """States reachable from ``root``, in BFS discovery order."""
+    offs, flat = c.offs.tolist(), c.flat.tolist()
     seen = {root}
     order = [root]
-    i = 0
-    while i < len(order):
-        for t in c.transition[order[i]].args:
+    for s in order:
+        for t in flat[offs[s] : offs[s + 1]]:
             if t not in seen:
                 seen.add(t)
                 order.append(t)
-        i += 1
     return order
 
 
@@ -261,8 +307,8 @@ def cycles_through(c: Coalgebra, state: int, maxlen: int) -> Iterator[FinitePath
     """
     dist = {state: 0}
     for d in range(1, c.n_states):
-        for s, elem in enumerate(c.transition):
-            if s not in dist and any(dist.get(t) == d - 1 for t in elem.args):
+        for s in range(c.n_states):
+            if s not in dist and any(dist.get(t) == d - 1 for t in c._row(s)):
                 dist[s] = d
     stack = [((state,), (), iter(_step_pairs(c, state)))]
     while stack:
@@ -291,20 +337,19 @@ class Condensation:
 
 
 def _csr(c: Coalgebra) -> tuple[array, array]:
-    """Deduplicated sorted successor lists in offset/flat form.
+    """Sorted successor lists in offset/flat form: the stored offsets, and
+    each stored row sorted with its repeats kept.
 
-    Flat arrays of machine ints keep the random probes of the component
-    search cache-resident on large coalgebras.
+    The component search and the witness searches skip a state they have
+    visited, so a repeated successor changes neither their components nor
+    their paths.  Flat arrays of machine ints keep the random probes of the
+    component search cache-resident on large coalgebras.
     """
-    n = c.n_states
-    offs = array("l", [0]) * (n + 1)
-    flat: list[int] = []
-    ext = flat.extend
-    tr = c.transition
-    for s in range(n):
-        ext(sorted(set(tr[s].args)))
-        offs[s + 1] = len(flat)
-    return offs, array("l", flat)
+    flat, out = c.flat.tolist(), []
+    ext = out.extend
+    for a, b in pairwise(c.offs):
+        ext(sorted(flat[a:b]))
+    return c.offs, array("l", out)
 
 
 def _scc_csr(offs: array, flat: array, roots: Iterable[int], n: int):
@@ -400,18 +445,20 @@ def _refine(c: Coalgebra, states: Sequence[int]) -> dict[int, int]:
     last, and the largest part keeps the id, ties to the rest, then to the
     least key.
     """
-    canon = {op: record.canon for op, record in c.sig._records.items()}
-    tr = c.transition
+    records = c.sig._records
+    ids = list(records)
+    canon = [record.canon for record in records.values()]
+    ops, offs, flat = c.ops, c.offs.tolist(), c.flat.tolist()
     block = [0] * c.n_states
     lookup = block.__getitem__
     preds: dict[int, list[int]] = {s: [] for s in states}
     for s in states:
-        for t in set(tr[s].args):
+        for t in set(flat[offs[s] : offs[s + 1]]):
             preds[t].append(s)
     members = [set(states)]
     touched: dict[int, dict] = {}
     for s in states:
-        touched.setdefault(0, {}).setdefault(tr[s].op, set()).add(s)
+        touched.setdefault(0, {}).setdefault(ids[ops[s]], set()).add(s)
     while touched:
         moved: list[int] = []
         for b, by_key in sorted(touched.items()):
@@ -438,8 +485,8 @@ def _refine(c: Coalgebra, states: Sequence[int]) -> dict[int, int]:
                 moved.extend(p)
         touched = {}
         for s in dict.fromkeys(u for t in moved for u in preds[t]):
-            e = tr[s]
-            key = (e.op, canon[e.op](tuple(map(lookup, e.args))))
+            o = ops[s]
+            key = (ids[o], canon[o](tuple(map(lookup, flat[offs[s] : offs[s + 1]]))))
             touched.setdefault(block[s], {}).setdefault(key, set()).add(s)
     return {s: block[s] for s in states}
 
@@ -460,21 +507,21 @@ def minimize(pc: PointedCoalgebra) -> tuple[PointedCoalgebra, dict[int, int]]:
 def _minimal_quotient(pc: PointedCoalgebra):
     c = pc.coalg
     order = reachable_states(c, pc.root)
-    rows, mapping, ids = _quotient(c, order, _refine(c, order))
-    return PointedCoalgebra(Coalgebra(c.sig, rows), 0), mapping, ids
+    quotient, mapping, ids = _quotient(c, order, _refine(c, order))
+    return PointedCoalgebra(quotient, 0), mapping, ids
 
 
 def _quotient(c: Coalgebra, order: Sequence[int], block):
-    """The rows of the quotient of ``c`` by ``block`` (a dict or sequence
-    indexed by state), the map from each state of ``order``, which must be
-    closed under successors, to its quotient state, and each quotient
-    state's block id.
+    """The quotient of ``c`` by ``block`` (a dict or sequence indexed by
+    state), the map from each state of ``order``, which must be closed
+    under successors, to its quotient state, and each quotient state's
+    block id.
 
     Blocks are numbered by the first appearance of their states in
-    ``order``.  Each row is built once, by ``SignatureSpec.map_elem``, from
-    the element of its block's first state with every successor mapped to
-    its quotient state; the states of a block are equivalent, so each of
-    them gives that row.  For ``minimize``, ``order`` is the BFS order of the
+    ``order``.  Each row is built once, by ``SignatureSpec._pack_rows``, from
+    the row of its block's first state with every successor mapped to its
+    quotient state; the states of a block are equivalent, so each of them
+    gives that row.  For ``minimize``, ``order`` is the BFS order of the
     reachable states, so the numbering is the BFS order of the blocks from
     the root's block: a state that is not the first of its block meets no new
     block, since the first one, met earlier, has successors in the same
@@ -485,8 +532,10 @@ def _quotient(c: Coalgebra, order: Sequence[int], block):
         first.setdefault(block[s], s)
     new_id = {b: i for i, b in enumerate(first)}
     mapping = {s: new_id[block[s]] for s in order}
-    rows = tuple(c.sig.map_elem(c.transition[s], mapping.__getitem__) for s in first.values())
-    return rows, mapping, tuple(first)
+    ids, ops = [op.id for op in c.sig.ops], c.ops
+    offs, flat, get = c.offs.tolist(), c.flat.tolist(), mapping.__getitem__
+    rows = ((ids[ops[s]], map(get, flat[offs[s] : offs[s + 1]])) for s in first.values())
+    return Coalgebra._stored(c.sig, c.sig._pack_rows(rows, len(first))), mapping, tuple(first)
 
 
 def beh_equal(pc1: PointedCoalgebra, pc2: PointedCoalgebra) -> bool:
@@ -527,5 +576,5 @@ def _key(pc: PointedCoalgebra):
         ids = _refine(c, range(c.n_states))
         if len(set(ids.values())) != c.n_states:
             raise CoalgebraError("internal: minimal coalgebra with equivalent states")
-    rows, mapping, _ = _quotient(c, sorted(range(c.n_states), key=ids.__getitem__), ids)
-    return (mapping[mpc.root], rows)
+    q, mapping, _ = _quotient(c, sorted(range(c.n_states), key=ids.__getitem__), ids)
+    return (mapping[mpc.root], c.sig._unpack_rows(q.ops, q.offs, q.flat))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import pairwise
 from pathlib import Path
 from typing import Any
 
@@ -122,15 +123,12 @@ def load_coalgebra(
     rows = data.get("transitions")
     if not isinstance(rows, list) or len(rows) != n:
         raise CoalgebraError(f"'transitions' must list exactly {n} entries")
-    transitions = []
-    for s, row in enumerate(rows):
-        if not isinstance(row, dict) or not isinstance(row.get("op"), str):
-            raise CoalgebraError(f"state {s}: transition needs an 'op' string")
-        tup = row.get("tuple", [])
-        if not _is_int_list(tup):
-            raise CoalgebraError(f"state {s}: 'tuple' must be a list of integers")
-        transitions.append(sig.canonical_tuple(row["op"], tup))
-    coalg = Coalgebra(sig, tuple(transitions))
+    packed = None
+    if set(map(type, rows)) <= {dict}:
+        tuples = [row.get("tuple", []) for row in rows]
+        if set(map(type, tuples)) <= {list}:
+            packed = sig._pack_rows(zip([row.get("op") for row in rows], tuples), n)
+    coalg = _checked_rows(sig, rows) if packed is None else Coalgebra._stored(sig, packed)
     root = data.get("root")
     if root is not None and not _is_int(root):
         raise CoalgebraError("'root' must be an integer")
@@ -139,13 +137,28 @@ def load_coalgebra(
     return coalg, root
 
 
+def _checked_rows(sig: SignatureSpec, rows: list) -> Coalgebra:
+    # Rows ``_pack_rows`` refused, or that are no plain dicts and lists: each
+    # checked in turn, so the error names the first bad one.
+    transitions = []
+    for s, row in enumerate(rows):
+        if not isinstance(row, dict) or not isinstance(row.get("op"), str):
+            raise CoalgebraError(f"state {s}: transition needs an 'op' string")
+        tup = row.get("tuple", [])
+        if not _is_int_list(tup):
+            raise CoalgebraError(f"state {s}: 'tuple' must be a list of integers")
+        transitions.append(sig.canonical_tuple(row["op"], tup))
+    return Coalgebra(sig, transitions)
+
+
 @_collector_paused()
 def dump_coalgebra(c: Coalgebra, root: int | None = None) -> dict:
+    ids, flat = [op.id for op in c.sig.ops], c.flat.tolist()
     doc: dict[str, Any] = {
         "signature": dump_signature(c.sig),
         "states": c.n_states,
         "transitions": [
-            {"op": e.op, "tuple": list(e.args)} for e in c.transition
+            {"op": ids[i], "tuple": flat[a:b]} for i, (a, b) in zip(c.ops, pairwise(c.offs))
         ],
     }
     if root is not None:

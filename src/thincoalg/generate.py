@@ -33,15 +33,14 @@ def gen_coalgebra(
         total = sum(weights)
         if not (all(w >= 0 for w in weights) and 0 < total < math.inf):
             raise SignatureError("weights must be finite and nonnegative with a positive total")
-    transitions = []
+    rows = []
     for _ in range(n_states):
         if weights is None:
             op = ops[rng.randrange(len(ops))]
         else:
             op = rng.choices(ops, weights=weights, k=1)[0]
-        tup = tuple(rng.randrange(n_states) for _ in range(op.arity))
-        transitions.append(sig.canonical_tuple(op.id, tup))
-    return PointedCoalgebra(Coalgebra(sig, tuple(transitions)), root)
+        rows.append((op.id, [rng.randrange(n_states) for _ in range(op.arity)]))
+    return PointedCoalgebra(Coalgebra._stored(sig, sig._pack_rows(rows, n_states)), root)
 
 
 def _minimal_term(sig: SignatureSpec) -> Term:

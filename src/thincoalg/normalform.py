@@ -98,12 +98,16 @@ def extract_normal(pc: PointedCoalgebra) -> Term:
     below it, so these demands never loop back.
     """
     spine = _ranks(pc)[3]
-    trans = pc.coalg.transition
-    sig = pc.coalg.sig
+    c = pc.coalg
+    sig, ops, ids = c.sig, c.ops, [op.id for op in c.sig.ops]
+    offs, flat = c.offs.tolist(), c.flat.tolist()
 
-    def sides(w: int) -> tuple[int, ...]:
+    def row(w: int) -> list[int]:
+        return flat[offs[w] : offs[w + 1]]
+
+    def sides(w: int) -> list[int]:
         u = spine[w]
-        return trans[w].args[:u] + trans[w].args[u + 1 :]
+        return flat[offs[w] : offs[w] + u] + flat[offs[w] + u + 1 : offs[w + 1]]
 
     memo: dict[int, Term] = {}
     # Walked spines of stream states: state -> (states walked, start of period).
@@ -115,14 +119,14 @@ def extract_normal(pc: PointedCoalgebra) -> Term:
             stack.pop()
             continue
         if spine[s] is None:
-            need = [x for x in trans[s].args if x not in memo]
+            need = [x for x in row(s) if x not in memo]
         else:
             if s not in lassos:
                 walked, seen, cur = [], {}, s
                 while cur not in seen:
                     seen[cur] = len(walked)
                     walked.append(cur)
-                    cur = trans[cur].args[spine[cur]]
+                    cur = flat[offs[cur] + spine[cur]]
                 lassos[s] = walked, seen[cur]
             need = [x for w in lassos[s][0] for x in sides(w) if x not in memo]
         if need:
@@ -130,11 +134,11 @@ def extract_normal(pc: PointedCoalgebra) -> Term:
             continue
         stack.pop()
         if spine[s] is None:
-            memo[s] = FNode(sig.map_elem(trans[s], memo.__getitem__))
+            memo[s] = FNode(sig.canonical_tuple(ids[ops[s]], map(memo.__getitem__, row(s))))
         else:
             walked, cut = lassos.pop(s)
             ctxs = tuple(
-                sig.canonical_context(trans[w].op, spine[w], [memo[x] for x in sides(w)])
+                sig.canonical_context(ids[ops[w]], spine[w], [memo[x] for x in sides(w)])
                 for w in walked
             )
             memo[s] = GNode(LassoStream(ctxs[:cut], ctxs[cut:]))

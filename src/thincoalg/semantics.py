@@ -51,19 +51,19 @@ def _unfold(sig: SignatureSpec, roots: tuple[Term, ...]) -> tuple[Coalgebra, dic
 
     for t in roots:
         state_of(t)
-    transitions = []
+    rows = []
     pos = 0
     while pos < len(queue):
         u = queue[pos]
         pos += 1
         if isinstance(u, FNode):
-            transitions.append(sig.map_elem(u.elem, state_of))
+            rows.append((u.elem.op, list(map(state_of, u.elem.args))))
         else:
             head = u.stream.head()
             row = list(map(state_of, head.sides))
             row.insert(head.hole, state_of(GNode(u.stream.tail())))
-            transitions.append(sig.canonical_tuple(head.op, row))
-    return Coalgebra(sig, tuple(transitions)), index
+            rows.append((head.op, row))
+    return Coalgebra._stored(sig, sig._pack_rows(rows, len(rows))), index
 
 
 def beh_equal_terms(sig: SignatureSpec, a: Term, b: Term) -> bool:

@@ -28,9 +28,10 @@ sides)``, so they hash, compare, order and pickle as the tuples they are.
 from __future__ import annotations
 
 import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, permutations
+from itertools import accumulate, chain, pairwise, permutations
 from math import factorial, prod
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -536,3 +537,37 @@ class SignatureSpec:
     def map_elem(self, elem: FElem, f: Callable) -> FElem:
         """Apply ``f`` to every argument and re-canonicalize."""
         return FElem(elem.op, self._record(elem.op).canon(tuple(map(f, elem.args))))
+
+    def _pack_rows(self, rows: Iterable[tuple[str, Iterable]], n: int, canonical: bool = True):
+        """A coalgebra's ``(op id, successors)`` rows, each through its op's
+        ``canon`` unless ``canonical`` is false, as ``(ops, offs, flat)``:
+        each state's index in ``self.ops``, and row ``s`` at
+        ``flat[offs[s]:offs[s + 1]]``.  ``None`` when a row has an unknown
+        op or the wrong length, or a successor is no ``int`` (``bool`` is
+        none) in ``range(n)``; those are checked once over the flat list, so
+        a caller that names the first bad row scans for it."""
+        records = self._records.values()
+        table = {r.op.id: (i, r.arity, r.canon if canonical else tuple)
+                 for i, r in enumerate(records)}
+        ops = array("B" if len(table) <= 256 else "l")
+        flat: list = []
+        push, ext = ops.append, flat.extend
+        try:
+            for op, args in rows:
+                i, arity, canon = table[op]
+                vals = tuple(args)
+                if len(vals) != arity:
+                    return None
+                push(i)
+                ext(canon(vals))
+        except (KeyError, TypeError):  # an unknown or unhashable op, or incomparable values
+            return None
+        if flat and not (set(map(type, flat)) == {int} and 0 <= min(flat) and max(flat) < n):
+            return None
+        arity = [r.arity for r in records].__getitem__
+        return ops, array("l", accumulate(map(arity, ops), initial=0)), array("l", flat)
+
+    def _unpack_rows(self, ops: array, offs: array, flat: array) -> tuple[FElem, ...]:
+        """The elements of rows ``_pack_rows`` stored, as they were stored."""
+        ids, args = [op.id for op in self.ops], flat.tolist()
+        return tuple(FElem(ids[i], tuple(args[a:b])) for i, (a, b) in zip(ops, pairwise(offs)))

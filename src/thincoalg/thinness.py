@@ -18,7 +18,7 @@ states the rules), gives each reachable state its least term rank, spine
 step and run count.  Kept on the object too, it answers the census
 (``count_infinite_paths_class``), ``treeenc.cb_rank``, ``state_ranks`` and
 ``extract_normal``.  All of it runs in time linear in states plus edges; the
-analysis and witness pause the collector (``coalgebra._collector_paused``).
+witness pauses the collector (``coalgebra._collector_paused``).
 
 The witness is a shortest access path from the root to the offender and two
 cycles through it, each closed along a shortest in-component route back.  Both
@@ -165,18 +165,18 @@ def _thin_components(pc: PointedCoalgebra):
     return _memo(pc, "_thin", _analyse)
 
 
-@_collector_paused()
 def _analyse(pc: PointedCoalgebra):
     c = pc.coalg
     offs, flat = _csr(c)
     comps, comp = _scc_csr(offs, flat, [pc.root], c.n_states)
     looped = bytearray(len(comps))
+    starts, rows = c.offs.tolist(), c.flat.tolist()
     for ci, members in enumerate(comps):
         # A component passes when every member keeps at most one edge inside
         # it; strong connectivity then forces a plain loop or a lone state.
         for s in members:
             k = 0
-            for t in c.transition[s].args:
+            for t in rows[starts[s] : starts[s + 1]]:
                 if comp[t] == ci:
                     k += 1
             if k >= 2:
@@ -286,19 +286,19 @@ def _rank_fold(pc: PointedCoalgebra):
     space.
     """
     comps, comp, looped = _require_thin(pc)
-    trans = pc.coalg.transition
-    n = len(trans)
+    offs, flat = pc.coalg.offs.tolist(), pc.coalg.flat.tolist()
+    n = pc.coalg.n_states
     major, minor, runs = [0] * n, [0] * n, [0] * n
     g_value, spine = [None] * n, [None] * n
     for ci, members in enumerate(comps):
         if looped[ci]:
             outside = 0
             for s in members:
-                for t in trans[s].args:
+                for t in flat[offs[s] : offs[s + 1]]:
                     if comp[t] != ci and major[t] > outside:
                         outside = major[t]
             for s in members:
-                args = trans[s].args
+                args = flat[offs[s] : offs[s + 1]]
                 u = 0
                 while comp[args[u]] != ci:
                     u += 1
@@ -307,7 +307,7 @@ def _rank_fold(pc: PointedCoalgebra):
             continue
 
         (s,) = members
-        args = trans[s].args
+        args = flat[offs[s] : offs[s + 1]]
         if not args:
             minor[s] = 1
             continue

@@ -120,7 +120,7 @@ def dom_tree(sig: SignatureSpec, t: Term, depth: int) -> WordTree:
         for state, w in frontier:
             words.add(w)
             if len(w) < depth:
-                for i, child in enumerate(c.transition[state].args):
+                for i, child in enumerate(c._row(state)):
                     nxt.append((child, w + (i,)))
         frontier = nxt
     return WordTree(depth, frozenset(words))

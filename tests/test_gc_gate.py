@@ -1,7 +1,7 @@
 """Lint gate: only ``coalgebra._collector_paused`` switches the collector.
 
-The loaders, ``dump_coalgebra`` and the thinness analysis and witness pause
-CPython's cyclic garbage collector through that one context manager, whose
+The loaders, ``dump_coalgebra`` and the thinness witness pause CPython's
+cyclic garbage collector through that one context manager, whose
 docstring says why it is safe and what it cannot promise across threads.
 Any other switch (``gc.disable``, ``gc.enable``, ``gc.freeze``,
 ``gc.set_threshold`` or a forced ``gc.collect``) could leave the collector
